@@ -43,6 +43,28 @@ fn main() {
         });
     }
 
+    {
+        // The Fig. 2 shape: a 3-switch ring, 1023 TS flows on one 3-hop
+        // path, the paper's slot — the plan every Fig. 2 point makes.
+        let topo = presets::ring(3, 3).expect("topology builds");
+        let hosts = topo.hosts();
+        let flows = tsn_builder::workloads::ts_flows_fixed_path(
+            1023,
+            hosts[0],
+            hosts[2],
+            64,
+            SimDuration::from_millis(8),
+        )
+        .expect("workload builds");
+        let req = AppRequirements::new(topo, flows, SimDuration::from_nanos(50))
+            .expect("valid requirements");
+        let plan = CqfPlan::with_slot(&req, tsn_builder::PAPER_SLOT, DataRate::gbps(1))
+            .expect("slot feasible");
+        runner.bench("itp/fig2_ring_1023", || {
+            itp::plan(black_box(&req), &plan, itp::Strategy::GreedyLeastLoaded).expect("plans")
+        });
+    }
+
     let options = DeriveOptions::paper();
     runner.bench("derive/full_pipeline_256_flows", || {
         derive_parameters(black_box(&req), &options).expect("derives")

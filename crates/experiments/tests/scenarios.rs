@@ -2,7 +2,8 @@
 //! strict JSON layer — and the strictness itself is pinned here: the
 //! same documents with trailing garbage or a duplicated key must be
 //! rejected, so no committed scenario silently depends on lenient
-//! parsing.
+//! parsing. The committed `sample.json` must also match what
+//! `customize --sample` writes.
 
 use tsn_experiments::json::{parse, Json};
 
@@ -66,4 +67,28 @@ fn duplicating_a_scenario_key_is_rejected() {
             "{name}: duplicated key {first_member:?} was accepted"
         );
     }
+}
+
+#[test]
+fn committed_sample_matches_what_customize_writes() {
+    // `customize --sample` writes `scenarios/sample.json` under its
+    // working directory; run it in a scratch directory and compare with
+    // the committed copy, so the committed sample cannot drift.
+    let workdir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("customize_sample");
+    std::fs::create_dir_all(&workdir).expect("can create the scratch directory");
+    let status = std::process::Command::new(env!("CARGO_BIN_EXE_customize"))
+        .arg("--sample")
+        .current_dir(&workdir)
+        .stdout(std::process::Stdio::null())
+        .status()
+        .expect("customize runs");
+    assert!(status.success(), "customize --sample failed: {status}");
+    let written = std::fs::read_to_string(workdir.join("scenarios/sample.json"))
+        .expect("customize wrote the sample");
+    let committed = std::fs::read_to_string(format!(
+        "{}/../../scenarios/sample.json",
+        env!("CARGO_MANIFEST_DIR")
+    ))
+    .expect("scenarios/sample.json is committed");
+    assert_eq!(written, committed, "regenerate with `customize --sample`");
 }
