@@ -411,13 +411,17 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (the input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid UTF-8")?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or escape.
+                    // Both are ASCII, so the run is whole characters of
+                    // the `&str` input, and only the run is validated:
+                    // parsing stays linear in the input length.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| "invalid UTF-8")?;
+                    out.push_str(run);
                 }
             }
         }
@@ -449,6 +453,7 @@ mod tests {
     fn values_round_trip_through_the_printer_and_parser() {
         let value = Json::obj([
             ("name", Json::Str("ring \"demo\"\n".into())),
+            ("unicode", Json::Str("µs ≤ 65 — \\ ✓".into())),
             ("count", Json::Num(1024.0)),
             ("ratio", Json::Num(2.5)),
             ("flag", Json::Bool(true)),

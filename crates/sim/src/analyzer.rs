@@ -3,9 +3,10 @@
 //! Models the analyzer box of the paper's testbed (Fig. 6): every
 //! delivered frame is matched against its injection record; the paper
 //! reports average latency, jitter as the standard deviation of latency,
-//! and packet loss. On top of the paper's mean/std, [`LatencyStats`]
-//! keeps a fixed-bucket log2 histogram so tail quantiles (p50/p99/p999)
-//! are available in O(1) memory per flow at 100k–1M-flow scale.
+//! and packet loss, per flow and per traffic class. Each flow keeps only
+//! its [`LatencyMoments`] (count, mean, std, min, max); tail quantiles
+//! (p50/p99/p999) come from one fixed-bucket log2 histogram per class,
+//! so the analyzer's footprint stays O(1) per flow at 100k–1M-flow scale.
 //!
 //! The analyzer stores per-flow state in dense `FlowId`-indexed parallel
 //! vectors (SoA) rather than a keyed map: the per-frame hot path is one
@@ -44,32 +45,34 @@ pub fn hist_bucket_bounds(bucket: usize) -> (u64, u64) {
     (lo, hi)
 }
 
-/// Streaming latency statistics: Welford mean/std plus a fixed-bucket
-/// log2 histogram for tail quantiles.
-///
-/// The histogram is allocated lazily on the first sample, so flows that
-/// never deliver cost nothing beyond the struct itself. Bucket counts are
-/// integers, so merging histograms is exact and associative — unlike the
-/// float Welford state, histogram-derived quantiles are immune to merge
-/// order, which is what keeps sharded reports byte-identical.
-#[derive(Debug, Default, Clone, PartialEq)]
-pub struct LatencyStats {
+/// Streaming latency moments: Welford mean/std plus the exact min and
+/// max, in 40 bytes — what the analyzer keeps per flow.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LatencyMoments {
     count: u64,
     mean_ns: f64,
     m2: f64,
     min_ns: u64,
     max_ns: u64,
-    hist: Option<Box<[u64; HIST_BUCKETS]>>,
 }
 
-impl LatencyStats {
-    /// Creates empty statistics.
+impl Default for LatencyMoments {
+    fn default() -> Self {
+        LatencyMoments {
+            count: 0,
+            mean_ns: 0.0,
+            m2: 0.0,
+            min_ns: u64::MAX,
+            max_ns: 0,
+        }
+    }
+}
+
+impl LatencyMoments {
+    /// Creates empty moments.
     #[must_use]
     pub fn new() -> Self {
-        LatencyStats {
-            min_ns: u64::MAX,
-            ..LatencyStats::default()
-        }
+        LatencyMoments::default()
     }
 
     /// Records one latency sample.
@@ -82,7 +85,6 @@ impl LatencyStats {
         self.m2 += delta * (x - self.mean_ns);
         self.min_ns = self.min_ns.min(ns);
         self.max_ns = self.max_ns.max(ns);
-        self.hist.get_or_insert_with(|| Box::new([0; HIST_BUCKETS]))[hist_bucket(ns)] += 1;
     }
 
     /// Number of samples.
@@ -132,6 +134,107 @@ impl LatencyStats {
         (self.count > 0).then(|| SimDuration::from_nanos(self.max_ns))
     }
 
+    /// Merges another block of moments into this one (Chan's parallel
+    /// update; merging into empty moments adopts `other` bit for bit).
+    pub fn merge(&mut self, other: &LatencyMoments) {
+        if other.count == 0 {
+            return;
+        }
+        if self.count == 0 {
+            *self = *other;
+            return;
+        }
+        let n1 = self.count as f64;
+        let n2 = other.count as f64;
+        let delta = other.mean_ns - self.mean_ns;
+        let total = n1 + n2;
+        self.mean_ns += delta * n2 / total;
+        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
+        self.count += other.count;
+        self.min_ns = self.min_ns.min(other.min_ns);
+        self.max_ns = self.max_ns.max(other.max_ns);
+    }
+}
+
+/// Streaming latency statistics: [`LatencyMoments`] plus a fixed-bucket
+/// log2 histogram for tail quantiles.
+///
+/// The histogram is allocated lazily on the first sample. Bucket counts
+/// are integers, so merging histograms is exact and associative — unlike
+/// the float Welford state, histogram-derived quantiles are immune to
+/// merge order, which is what keeps sharded reports byte-identical.
+#[derive(Debug, Default, Clone, PartialEq)]
+pub struct LatencyStats {
+    moments: LatencyMoments,
+    hist: Option<Box<[u64; HIST_BUCKETS]>>,
+}
+
+impl LatencyStats {
+    /// Creates empty statistics.
+    #[must_use]
+    pub fn new() -> Self {
+        LatencyStats::default()
+    }
+
+    /// Statistics made of merged `moments` and the bucket counts of the
+    /// same samples; the histogram stays absent when there are none.
+    fn with_histogram(moments: LatencyMoments, hist: &[u64; HIST_BUCKETS]) -> Self {
+        LatencyStats {
+            moments,
+            hist: (moments.count > 0).then(|| Box::new(*hist)),
+        }
+    }
+
+    /// Records one latency sample.
+    pub fn record(&mut self, latency: SimDuration) {
+        self.moments.record(latency);
+        self.hist.get_or_insert_with(|| Box::new([0; HIST_BUCKETS]))
+            [hist_bucket(latency.as_nanos())] += 1;
+    }
+
+    /// Number of samples.
+    #[must_use]
+    pub fn count(&self) -> u64 {
+        self.moments.count()
+    }
+
+    /// Mean latency in nanoseconds (0 when empty).
+    #[must_use]
+    pub fn mean_ns(&self) -> f64 {
+        self.moments.mean_ns()
+    }
+
+    /// Mean latency in microseconds.
+    #[must_use]
+    pub fn mean_us(&self) -> f64 {
+        self.moments.mean_us()
+    }
+
+    /// Population standard deviation in nanoseconds — the paper's
+    /// "jitter".
+    #[must_use]
+    pub fn std_ns(&self) -> f64 {
+        self.moments.std_ns()
+    }
+
+    /// Jitter in microseconds.
+    #[must_use]
+    pub fn std_us(&self) -> f64 {
+        self.moments.std_us()
+    }
+
+    /// Smallest sample (`None` when empty).
+    #[must_use]
+    pub fn min(&self) -> Option<SimDuration> {
+        self.moments.min()
+    }
+
+    /// Largest sample (`None` when empty).
+    #[must_use]
+    pub fn max(&self) -> Option<SimDuration> {
+        self.moments.max()
+    }
+
     /// The histogram bucket counts, if any sample was recorded.
     #[must_use]
     pub fn histogram(&self) -> Option<&[u64; HIST_BUCKETS]> {
@@ -147,10 +250,16 @@ impl LatencyStats {
     #[must_use]
     pub fn quantile(&self, q: f64) -> Option<SimDuration> {
         let hist = self.hist.as_deref()?;
-        if self.count == 0 {
+        let LatencyMoments {
+            count,
+            min_ns,
+            max_ns,
+            ..
+        } = self.moments;
+        if count == 0 {
             return None;
         }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
         let mut seen = 0u64;
         for (bucket, &n) in hist.iter().enumerate() {
             if n == 0 {
@@ -160,12 +269,12 @@ impl LatencyStats {
                 let (lo, hi) = hist_bucket_bounds(bucket);
                 let into = rank - seen; // 1..=n
                 let est = lo + (u128::from(hi - lo) * u128::from(into) / u128::from(n + 1)) as u64;
-                return Some(SimDuration::from_nanos(est.clamp(self.min_ns, self.max_ns)));
+                return Some(SimDuration::from_nanos(est.clamp(min_ns, max_ns)));
             }
             seen += n;
         }
         // Unreachable when counters are consistent; fall back to max.
-        Some(SimDuration::from_nanos(self.max_ns))
+        Some(SimDuration::from_nanos(max_ns))
     }
 
     /// Median latency (`None` when empty).
@@ -187,24 +296,9 @@ impl LatencyStats {
     }
 
     /// Merges another stats block into this one. Histogram counts add
-    /// exactly; the Welford state uses Chan's parallel update.
+    /// exactly; the moments use Chan's parallel update.
     pub fn merge(&mut self, other: &LatencyStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean_ns - self.mean_ns;
-        let total = n1 + n2;
-        self.mean_ns += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min_ns = self.min_ns.min(other.min_ns);
-        self.max_ns = self.max_ns.max(other.max_ns);
+        self.moments.merge(&other.moments);
         if let Some(theirs) = other.hist.as_deref() {
             let ours = self.hist.get_or_insert_with(|| Box::new([0; HIST_BUCKETS]));
             for (o, t) in ours.iter_mut().zip(theirs) {
@@ -228,8 +322,9 @@ pub struct FlowRecord<'a> {
     pub received: u64,
     /// Frames that arrived after their deadline (TS flows only).
     pub deadline_misses: u64,
-    /// Latency statistics over received frames.
-    pub latency: &'a LatencyStats,
+    /// Latency moments over received frames. Tail quantiles are kept per
+    /// class only: see [`Analyzer::class_latency`].
+    pub latency: &'a LatencyMoments,
 }
 
 impl FlowRecord<'_> {
@@ -263,7 +358,7 @@ impl FlowRecord<'_> {
 /// assert_eq!(record.lost(), 0);
 /// assert_eq!(record.latency.mean_us(), 130.0);
 /// ```
-#[derive(Default, Clone)]
+#[derive(Clone)]
 pub struct Analyzer {
     // Dense FlowId-indexed SoA arenas. `class[i]` doubles as the
     // "tracked" marker: None slots are untouched holes (flow ids are
@@ -272,8 +367,25 @@ pub struct Analyzer {
     injected: Vec<u64>,
     received: Vec<u64>,
     misses: Vec<u64>,
-    latency: Vec<LatencyStats>,
+    latency: Vec<LatencyMoments>,
     tracked: usize,
+    /// One latency histogram per class, indexed `TrafficClass as usize`
+    /// and bumped under each flow's recorded class.
+    class_hist: [[u64; HIST_BUCKETS]; TrafficClass::ALL.len()],
+}
+
+impl Default for Analyzer {
+    fn default() -> Self {
+        Analyzer {
+            class: Vec::new(),
+            injected: Vec::new(),
+            received: Vec::new(),
+            misses: Vec::new(),
+            latency: Vec::new(),
+            tracked: 0,
+            class_hist: [[0; HIST_BUCKETS]; TrafficClass::ALL.len()],
+        }
+    }
 }
 
 impl Analyzer {
@@ -294,32 +406,33 @@ impl Analyzer {
             injected: vec![0; flows],
             received: vec![0; flows],
             misses: vec![0; flows],
-            latency: vec![LatencyStats::new(); flows],
-            tracked: 0,
+            latency: vec![LatencyMoments::new(); flows],
+            ..Analyzer::default()
         }
     }
 
     /// Ensures the arenas cover `flow` and the slot is marked tracked;
-    /// returns the slot index.
-    fn touch(&mut self, flow: FlowId, class: TrafficClass) -> usize {
+    /// returns the slot index and the class the slot was first recorded
+    /// under.
+    fn touch(&mut self, flow: FlowId, class: TrafficClass) -> (usize, TrafficClass) {
         let idx = flow.as_usize();
         if idx >= self.class.len() {
             self.class.resize(idx + 1, None);
             self.injected.resize(idx + 1, 0);
             self.received.resize(idx + 1, 0);
             self.misses.resize(idx + 1, 0);
-            self.latency.resize(idx + 1, LatencyStats::new());
+            self.latency.resize(idx + 1, LatencyMoments::new());
         }
-        if self.class[idx].is_none() {
-            self.class[idx] = Some(class);
+        let recorded = *self.class[idx].get_or_insert_with(|| {
             self.tracked += 1;
-        }
-        idx
+            class
+        });
+        (idx, recorded)
     }
 
     /// Notes that the talker injected one frame of `flow`.
     pub fn note_injected(&mut self, flow: FlowId, class: TrafficClass) {
-        let idx = self.touch(flow, class);
+        let (idx, _) = self.touch(flow, class);
         self.injected[idx] += 1;
     }
 
@@ -333,10 +446,11 @@ impl Analyzer {
         arrived: SimTime,
         deadline: Option<SimDuration>,
     ) {
-        let idx = self.touch(flow, class);
+        let (idx, recorded) = self.touch(flow, class);
         self.received[idx] += 1;
         let latency = arrived.saturating_since(injected_at);
         self.latency[idx].record(latency);
+        self.class_hist[recorded as usize][hist_bucket(latency.as_nanos())] += 1;
         if let Some(deadline) = deadline {
             if latency > deadline {
                 self.misses[idx] += 1;
@@ -347,17 +461,22 @@ impl Analyzer {
     /// Merges a shard-local analyzer into this one. Per flow, injections
     /// happen on the talker's shard and deliveries (latency, misses) on
     /// the listener's shard, so the per-field contributions are disjoint:
-    /// counters sum and at most one side carries a non-empty latency
-    /// block, which [`LatencyStats::merge`] adopts bit-for-bit — the
-    /// merged analyzer equals the serial one exactly.
+    /// counters and class histograms sum, and at most one side carries
+    /// non-empty moments, which [`LatencyMoments::merge`] adopts bit for
+    /// bit — the merged analyzer equals the serial one exactly.
     pub(crate) fn merge_disjoint(&mut self, other: &Analyzer) {
         for (idx, &class) in other.class.iter().enumerate() {
             let Some(class) = class else { continue };
-            let slot = self.touch(FlowId::new(idx as u32), class);
+            let (slot, _) = self.touch(FlowId::new(idx as u32), class);
             self.injected[slot] += other.injected[idx];
             self.received[slot] += other.received[idx];
             self.misses[slot] += other.misses[idx];
             self.latency[slot].merge(&other.latency[idx]);
+        }
+        for (ours, theirs) in self.class_hist.iter_mut().zip(&other.class_hist) {
+            for (o, t) in ours.iter_mut().zip(theirs) {
+                *o += t;
+            }
         }
     }
 
@@ -399,14 +518,16 @@ impl Analyzer {
             .filter(move |r| r.class == class)
     }
 
-    /// Aggregated latency statistics over every flow of `class`.
+    /// Aggregated latency statistics over every flow of `class`: the
+    /// flows' moments merged in flow-id order, with the class histogram
+    /// attached for the tail quantiles.
     #[must_use]
     pub fn class_latency(&self, class: TrafficClass) -> LatencyStats {
-        let mut agg = LatencyStats::new();
+        let mut moments = LatencyMoments::new();
         for record in self.records_of(class) {
-            agg.merge(record.latency);
+            moments.merge(record.latency);
         }
-        agg
+        LatencyStats::with_histogram(moments, &self.class_hist[class as usize])
     }
 
     /// Mean of the per-flow latency standard deviations over `class` —
@@ -458,7 +579,7 @@ impl Analyzer {
 // identically regardless of how far their arenas grew.
 impl PartialEq for Analyzer {
     fn eq(&self, other: &Self) -> bool {
-        if self.tracked != other.tracked {
+        if self.tracked != other.tracked || self.class_hist != other.class_hist {
             return false;
         }
         self.iter().zip(other.iter()).all(|((ida, a), (idb, b))| {
@@ -474,13 +595,70 @@ impl PartialEq for Analyzer {
 
 impl core::fmt::Debug for Analyzer {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_map().entries(self.iter()).finish()
+        f.debug_map()
+            .entries(self.iter())
+            .entries(TrafficClass::ALL.iter().zip(&self.class_hist))
+            .finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+
+    /// The per-flow-histogram analyzer the class histograms replaced:
+    /// every flow keeps full [`LatencyStats`], and a class merges its
+    /// flows' stats in flow-id order.
+    #[derive(Default)]
+    struct Reference {
+        flows: BTreeMap<FlowId, (TrafficClass, LatencyStats)>,
+    }
+
+    impl Reference {
+        fn note_delivered(&mut self, flow: FlowId, class: TrafficClass, latency: SimDuration) {
+            let (_, stats) = self
+                .flows
+                .entry(flow)
+                .or_insert_with(|| (class, LatencyStats::new()));
+            stats.record(latency);
+        }
+
+        fn class_latency(&self, class: TrafficClass) -> LatencyStats {
+            let mut agg = LatencyStats::new();
+            for (_, stats) in self.flows.values().filter(|(c, _)| *c == class) {
+                agg.merge(stats);
+            }
+            agg
+        }
+    }
+
+    /// A seeded delivery stream over 12 flows, four per class:
+    /// `(flow, class, injected_at, arrived)`, with latencies spread over
+    /// a dozen log2 buckets.
+    fn mixed_deliveries() -> Vec<(FlowId, TrafficClass, SimTime, SimTime)> {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        (0..3_000u64)
+            .map(|i| {
+                let flow = (next() % 12) as u32;
+                let class = TrafficClass::ALL[flow as usize % 3];
+                let latency_ns = next() % (1 << (2 + next() % 20));
+                let at = SimTime::from_micros(i * 10);
+                (
+                    FlowId::new(flow),
+                    class,
+                    at,
+                    at + SimDuration::from_nanos(latency_ns),
+                )
+            })
+            .collect()
+    }
 
     #[test]
     fn welford_matches_direct_computation() {
@@ -724,5 +902,58 @@ mod tests {
         merged.merge_disjoint(&listener);
         assert_eq!(merged, serial);
         assert_eq!(format!("{merged:?}"), format!("{serial:?}"));
+    }
+
+    #[test]
+    fn class_histograms_match_the_per_flow_reference() {
+        let stream = mixed_deliveries();
+        let mut serial = Analyzer::new();
+        let mut reference = Reference::default();
+        // Talker/listener split: injections on one analyzer, deliveries
+        // on two listeners that own disjoint flows.
+        let mut talker = Analyzer::new();
+        let mut listeners = [Analyzer::new(), Analyzer::new()];
+        for &(flow, class, at, arrived) in &stream {
+            serial.note_injected(flow, class);
+            talker.note_injected(flow, class);
+            serial.note_delivered(flow, class, at, arrived, None);
+            listeners[flow.as_usize() % 2].note_delivered(flow, class, at, arrived, None);
+            reference.note_delivered(flow, class, arrived.saturating_since(at));
+        }
+        let mut merged = Analyzer::new();
+        merged.merge_disjoint(&talker);
+        for listener in &listeners {
+            merged.merge_disjoint(listener);
+        }
+        for class in TrafficClass::ALL {
+            let expected = reference.class_latency(class);
+            assert!(expected.count() > 100, "{class:?} is exercised");
+            assert_eq!(serial.class_latency(class), expected, "{class:?}");
+            assert_eq!(merged.class_latency(class), expected, "{class:?} merged");
+        }
+        assert_eq!(merged, serial);
+        assert_eq!(format!("{merged:?}"), format!("{serial:?}"));
+    }
+
+    #[test]
+    fn equality_sees_the_class_histograms() {
+        let mut a = Analyzer::new();
+        for &(flow, class, at, arrived) in &mixed_deliveries()[..50] {
+            a.note_delivered(flow, class, at, arrived, None);
+        }
+        let mut b = a.clone();
+        assert_eq!(a, b);
+        b.class_hist[TrafficClass::RateConstrained as usize][3] += 1;
+        assert_ne!(a, b);
+        assert_ne!(format!("{a:?}"), format!("{b:?}"));
+    }
+
+    #[test]
+    fn a_class_without_deliveries_has_no_histogram() {
+        let mut an = Analyzer::new();
+        an.note_injected(FlowId::new(0), TrafficClass::BestEffort);
+        let be = an.class_latency(TrafficClass::BestEffort);
+        assert!(be.histogram().is_none());
+        assert_eq!(be, LatencyStats::new());
     }
 }

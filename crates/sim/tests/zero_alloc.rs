@@ -8,8 +8,8 @@
 //! **zero** heap allocations.
 //!
 //! Warmup is adaptive rather than a fixed step count. One-time
-//! allocations front-load (each flow's lazy latency histogram on first
-//! delivery, host/gate queue rings growing to their working set), but
+//! allocations front-load (host and gate queue rings, which start empty
+//! and grow on first use to their working set), but
 //! the calendar queue's per-bucket capacities keep being probed as slot
 //! aliasing shifts phase across rotations, so the time-to-quiet is
 //! scenario-dependent: the test steps in 10k-event windows until one is

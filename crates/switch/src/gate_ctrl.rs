@@ -322,6 +322,11 @@ pub enum GateDrop {
 }
 
 /// A metadata queue with a hardware depth limit.
+///
+/// The ring starts empty and grows only when the queue actually buffers
+/// (bounded by `depth`): most of a large plant's queues never hold a
+/// frame, so preallocating `depth` slots each would fault in memory the
+/// run never touches.
 #[derive(Debug, Clone, Default)]
 struct GatedQueue {
     frames: VecDeque<EthernetFrame>,
@@ -333,7 +338,7 @@ struct GatedQueue {
 impl GatedQueue {
     fn new(depth: usize) -> Self {
         GatedQueue {
-            frames: VecDeque::with_capacity(depth.min(1024)),
+            frames: VecDeque::new(),
             depth,
             overflow_drops: 0,
             high_water: 0,
@@ -740,6 +745,26 @@ mod tests {
         assert_eq!(gc.overflow_drops(), 1);
         assert_eq!(gc.high_water(QueueId::new(6)), 2);
         assert_eq!(gc.total_buffered(), 2);
+    }
+
+    #[test]
+    fn rings_grow_on_demand_up_to_the_depth() {
+        let mut gc = GateCtrl::cqf(QueueLayout::standard8(), 32, SLOT).expect("valid");
+        assert!(gc.queues.iter().all(|q| q.frames.capacity() == 0));
+        let (q, t0) = (QueueId::new(0), SimTime::ZERO);
+        for i in 0..32 {
+            gc.enqueue(q, be_frame(), t0).expect("fits");
+            assert_eq!(gc.high_water(q), i + 1);
+            assert_eq!(gc.total_buffered(), i + 1);
+        }
+        assert_eq!(gc.enqueue(q, be_frame(), t0), Err(GateDrop::QueueOverflow));
+        assert_eq!(gc.overflow_drops(), 1);
+        assert_eq!(gc.queue_len(q), 32);
+        assert_eq!(gc.high_water(q), 32);
+        assert_eq!(gc.total_buffered(), 32);
+        gc.pop(q).expect("buffered");
+        assert_eq!((gc.high_water(q), gc.total_buffered()), (32, 31));
+        assert!(gc.queues[1..].iter().all(|q| q.frames.capacity() == 0));
     }
 
     #[test]

@@ -188,11 +188,9 @@ impl PacketSwitch {
                 None => LookupOutcome::Miss,
             }
         } else {
-            // Exact (dst, vid) first, then the aggregated any-VLAN entry.
-            if let Some(&port) = self.unicast.lookup(&(dst, Some(vlan))) {
-                return LookupOutcome::Unicast(port);
-            }
-            match self.unicast.lookup(&(dst, None)) {
+            // Exact (dst, vid) first, then the aggregated any-VLAN entry:
+            // one lookup per frame either way.
+            match self.unicast.lookup_or(&(dst, Some(vlan)), &(dst, None)) {
                 Some(&port) => LookupOutcome::Unicast(port),
                 None => LookupOutcome::Miss,
             }
@@ -248,9 +246,21 @@ mod tests {
             ps.lookup(&frame_to(MacAddr::station(8))),
             LookupOutcome::Miss
         );
-        // A full miss probes both the exact and the aggregated entry,
-        // like the two-pass hardware lookup it models.
-        assert_eq!(ps.miss_count(), 2);
+        // A full miss probes both the exact and the aggregated entry but
+        // counts as one missed lookup.
+        assert_eq!(ps.miss_count(), 1);
+    }
+
+    #[test]
+    fn aggregated_hits_count_no_miss() {
+        let mut ps = PacketSwitch::new(4, 0);
+        let dst = MacAddr::station(9);
+        ps.add_unicast_any_vlan(dst, PortId::new(3)).expect("fits");
+        assert_eq!(
+            ps.lookup(&frame_to(dst)),
+            LookupOutcome::Unicast(PortId::new(3))
+        );
+        assert_eq!(ps.miss_count(), 0, "the aggregated entry hit");
     }
 
     #[test]

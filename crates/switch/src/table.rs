@@ -145,6 +145,17 @@ impl<K: Eq + Hash, V> CapTable<K, V> {
         hit
     }
 
+    /// Looks up `key`, falling back to `fallback` when it is absent —
+    /// one counted access, and a miss only when both probes fail.
+    pub fn lookup_or(&mut self, key: &K, fallback: &K) -> Option<&V> {
+        self.lookups += 1;
+        let hit = self.entries.get(key).or_else(|| self.entries.get(fallback));
+        if hit.is_none() {
+            self.misses += 1;
+        }
+        hit
+    }
+
     /// Looks up a key without touching statistics.
     #[must_use]
     pub fn get(&self, key: &K) -> Option<&V> {

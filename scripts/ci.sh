@@ -16,6 +16,29 @@ run() {
 
 run cargo build --release --workspace --all-targets
 run cargo test -q --workspace
+
+# Hermetic checkout: the workspace tests must also pass in a fresh
+# checkout of HEAD, which holds no untracked files, so a test that
+# depends on one fails here. The checkout builds under this tree's
+# target directory, in its own `hermetic/` subdirectory: cargo keys
+# workspace artifacts by package-relative paths but bakes absolute ones
+# (`CARGO_MANIFEST_DIR`) into them, so sharing the directory itself
+# would leave this tree with test binaries that point into the removed
+# checkout. The checkout is removed however the step ends.
+hermetic_tmp="$(mktemp -d)"
+hermetic_target="${CARGO_TARGET_DIR:-$PWD/target}/hermetic"
+end_hermetic() {
+    git worktree remove --force "$hermetic_tmp/checkout" 2>/dev/null || true
+    rm -rf "$hermetic_tmp"
+    git worktree prune
+}
+trap end_hermetic EXIT
+run git worktree add --quiet --detach "$hermetic_tmp/checkout" HEAD
+(cd "$hermetic_tmp/checkout" \
+    && CARGO_TARGET_DIR="$hermetic_target" run cargo test -q --workspace --offline)
+end_hermetic
+trap - EXIT
+
 run cargo clippy --workspace --all-targets -- -D warnings
 run cargo fmt --check
 
