@@ -3,7 +3,8 @@
 //! same documents with trailing garbage or a duplicated key must be
 //! rejected, so no committed scenario silently depends on lenient
 //! parsing. The committed `sample.json` must also match what
-//! `customize --sample` writes.
+//! `customize --sample` writes, and unknown options must be usage
+//! errors rather than scenario paths.
 
 use tsn_experiments::json::{parse, Json};
 
@@ -91,4 +92,29 @@ fn committed_sample_matches_what_customize_writes() {
     ))
     .expect("scenarios/sample.json is committed");
     assert_eq!(written, committed, "regenerate with `customize --sample`");
+}
+
+#[test]
+fn unknown_customize_options_are_usage_errors() {
+    for args in [
+        &["--shards", "2"][..],
+        &["--bogus"],
+        &["--sample", "--bogus"],
+    ] {
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_customize"))
+            .args(args)
+            .current_dir(env!("CARGO_TARGET_TMPDIR"))
+            .output()
+            .expect("customize runs");
+        assert_eq!(output.status.code(), Some(2), "customize {args:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains("usage: customize <scenario.json>... | customize --sample"),
+            "customize {args:?} printed {stderr:?}"
+        );
+        assert!(
+            output.stdout.is_empty(),
+            "customize {args:?} ran a scenario"
+        );
+    }
 }

@@ -162,7 +162,7 @@ impl LatencyMoments {
 /// The histogram is allocated lazily on the first sample. Bucket counts
 /// are integers, so merging histograms is exact and associative — unlike
 /// the float Welford state, histogram-derived quantiles are immune to
-/// merge order, which is what keeps sharded reports byte-identical.
+/// merge order.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct LatencyStats {
     moments: LatencyMoments,
@@ -454,28 +454,6 @@ impl Analyzer {
         if let Some(deadline) = deadline {
             if latency > deadline {
                 self.misses[idx] += 1;
-            }
-        }
-    }
-
-    /// Merges a shard-local analyzer into this one. Per flow, injections
-    /// happen on the talker's shard and deliveries (latency, misses) on
-    /// the listener's shard, so the per-field contributions are disjoint:
-    /// counters and class histograms sum, and at most one side carries
-    /// non-empty moments, which [`LatencyMoments::merge`] adopts bit for
-    /// bit — the merged analyzer equals the serial one exactly.
-    pub(crate) fn merge_disjoint(&mut self, other: &Analyzer) {
-        for (idx, &class) in other.class.iter().enumerate() {
-            let Some(class) = class else { continue };
-            let (slot, _) = self.touch(FlowId::new(idx as u32), class);
-            self.injected[slot] += other.injected[idx];
-            self.received[slot] += other.received[idx];
-            self.misses[slot] += other.misses[idx];
-            self.latency[slot].merge(&other.latency[idx]);
-        }
-        for (ours, theirs) in self.class_hist.iter_mut().zip(&other.class_hist) {
-            for (o, t) in ours.iter_mut().zip(theirs) {
-                *o += t;
             }
         }
     }
@@ -858,8 +836,8 @@ mod tests {
     fn equality_compares_tracked_state_not_arenas() {
         let mut a = Analyzer::new();
         a.note_injected(FlowId::new(2), TrafficClass::TimeSensitive);
-        let mut b = Analyzer::new();
-        b.merge_disjoint(&a);
+        let mut b = Analyzer::with_flow_capacity(16);
+        b.note_injected(FlowId::new(2), TrafficClass::TimeSensitive);
         assert_eq!(a, b);
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
         b.note_injected(FlowId::new(2), TrafficClass::TimeSensitive);
@@ -871,68 +849,20 @@ mod tests {
     }
 
     #[test]
-    fn merge_disjoint_matches_serial() {
-        // Talker shard sees injections, listener shard sees deliveries.
-        let mut serial = Analyzer::new();
-        let mut talker = Analyzer::new();
-        let mut listener = Analyzer::new();
-        let f = FlowId::new(4);
-        for i in 0..6u64 {
-            serial.note_injected(f, TrafficClass::TimeSensitive);
-            talker.note_injected(f, TrafficClass::TimeSensitive);
-            let t0 = SimTime::from_micros(i * 100);
-            let t1 = SimTime::from_micros(i * 100 + 130 + i);
-            serial.note_delivered(
-                f,
-                TrafficClass::TimeSensitive,
-                t0,
-                t1,
-                Some(SimDuration::from_millis(1)),
-            );
-            listener.note_delivered(
-                f,
-                TrafficClass::TimeSensitive,
-                t0,
-                t1,
-                Some(SimDuration::from_millis(1)),
-            );
-        }
-        let mut merged = Analyzer::new();
-        merged.merge_disjoint(&talker);
-        merged.merge_disjoint(&listener);
-        assert_eq!(merged, serial);
-        assert_eq!(format!("{merged:?}"), format!("{serial:?}"));
-    }
-
-    #[test]
     fn class_histograms_match_the_per_flow_reference() {
         let stream = mixed_deliveries();
         let mut serial = Analyzer::new();
         let mut reference = Reference::default();
-        // Talker/listener split: injections on one analyzer, deliveries
-        // on two listeners that own disjoint flows.
-        let mut talker = Analyzer::new();
-        let mut listeners = [Analyzer::new(), Analyzer::new()];
         for &(flow, class, at, arrived) in &stream {
             serial.note_injected(flow, class);
-            talker.note_injected(flow, class);
             serial.note_delivered(flow, class, at, arrived, None);
-            listeners[flow.as_usize() % 2].note_delivered(flow, class, at, arrived, None);
             reference.note_delivered(flow, class, arrived.saturating_since(at));
-        }
-        let mut merged = Analyzer::new();
-        merged.merge_disjoint(&talker);
-        for listener in &listeners {
-            merged.merge_disjoint(listener);
         }
         for class in TrafficClass::ALL {
             let expected = reference.class_latency(class);
             assert!(expected.count() > 100, "{class:?} is exercised");
             assert_eq!(serial.class_latency(class), expected, "{class:?}");
-            assert_eq!(merged.class_latency(class), expected, "{class:?} merged");
         }
-        assert_eq!(merged, serial);
-        assert_eq!(format!("{merged:?}"), format!("{serial:?}"));
     }
 
     #[test]

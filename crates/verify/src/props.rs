@@ -15,7 +15,7 @@ use tsn_sim::{hist_bucket, LatencyStats};
 use tsn_switch::gate_ctrl::{GateControlList, GateEntry};
 use tsn_switch::ingress_filter::TokenBucketMeter;
 use tsn_switch::table::CapTable;
-use tsn_topology::{partition_network, presets, RouteTreeCache, Topology};
+use tsn_topology::{presets, RouteTreeCache, Topology};
 use tsn_types::{DataRate, MacAddr, QueueId, SimDuration, SimTime, SplitMix64, TsnResult};
 
 use crate::corpus::CaseCodec;
@@ -248,7 +248,7 @@ pub const PROPERTIES: &[PortedProperty] = &[
         legacy_cases: 128,
         spec: ParamSpec {
             fields: &[
-                ("shards", Range::new(1, 6)),
+                ("parts", Range::new(1, 6)),
                 ("samples", Range::new(1, 64)),
                 ("seed", Range::new(0, u64::MAX)),
             ],
@@ -266,7 +266,6 @@ pub const PROPERTIES: &[PortedProperty] = &[
             fields: &[
                 ("half", Range::new(1, 4)),
                 ("hpe_raw", Range::new(0, 7)),
-                ("shards", Range::new(1, 6)),
                 ("seed", Range::new(0, u64::MAX)),
             ],
         },
@@ -281,7 +280,6 @@ pub const PROPERTIES: &[PortedProperty] = &[
                 ("rings", Range::new(1, 6)),
                 ("ring_size", Range::new(3, 10)),
                 ("hpr_raw", Range::new(0, 15)),
-                ("shards", Range::new(1, 6)),
                 ("seed", Range::new(0, u64::MAX)),
             ],
         },
@@ -552,11 +550,11 @@ fn gcl_periodic(case: &ParamCase) -> Verdict {
     Verdict::Pass
 }
 
-/// Sharded `LatencyStats::merge` matches the single-pass stream for any
-/// shard assignment and any merge order, to tight f64 tolerance (count,
-/// min and max exactly).
+/// Partitioned `LatencyStats::merge` matches the single-pass stream for
+/// any partition and any merge order, to tight f64 tolerance (count, min
+/// and max exactly).
 fn latency_merge(case: &ParamCase) -> Verdict {
-    let shard_count = case.value("shards") as usize;
+    let part_count = case.value("parts") as usize;
     let mut rng = SplitMix64::seed_from_u64(case.value("seed"));
     let samples: Vec<u64> = (0..case.value("samples"))
         .map(|_| rng.gen_range_in(1, 50_000_000))
@@ -566,19 +564,19 @@ fn latency_merge(case: &ParamCase) -> Verdict {
     for &ns in &samples {
         whole.record(SimDuration::from_nanos(ns));
     }
-    let mut shards = vec![LatencyStats::new(); shard_count];
+    let mut parts = vec![LatencyStats::new(); part_count];
     for (i, &ns) in samples.iter().enumerate() {
-        shards[i % shard_count].record(SimDuration::from_nanos(ns));
+        parts[i % part_count].record(SimDuration::from_nanos(ns));
     }
     // Merge in a seed-derived order so the property covers arbitrary
-    // shard orders, not just 0..n.
-    let mut order: Vec<usize> = (0..shard_count).collect();
+    // part orders, not just 0..n.
+    let mut order: Vec<usize> = (0..part_count).collect();
     for i in (1..order.len()).rev() {
         order.swap(i, rng.gen_range(i as u64 + 1) as usize);
     }
     let mut merged = LatencyStats::new();
     for &i in &order {
-        merged.merge(&shards[i]);
+        merged.merge(&parts[i]);
     }
 
     if merged.count() != whole.count() {
@@ -612,12 +610,10 @@ fn latency_merge(case: &ParamCase) -> Verdict {
 /// Shared topology checks for the builder-shape properties: a sampled
 /// host pair routes identically through the per-call BFS and the bounded
 /// [`RouteTreeCache`] with at most `max_switch_hops` switches on the
-/// path, and [`partition_network`] keeps every host on its switch's
-/// shard with no shard left empty.
+/// path.
 fn topology_shape_checks(
     topology: &Topology,
     max_switch_hops: usize,
-    shards: usize,
     rng: &mut SplitMix64,
 ) -> Verdict {
     let hosts = topology.hosts();
@@ -650,50 +646,13 @@ fn topology_shape_checks(
             Err(e) => return Verdict::Fail(format!("cache route {src} -> {dst}: {e}")),
         }
     }
-
-    let partition = partition_network(topology, shards);
-    if partition.shards() < 1 || partition.shards() > shards.max(1) {
-        return Verdict::Fail(format!(
-            "{} shards used for a request of {shards}",
-            partition.shards()
-        ));
-    }
-    let mut owned = vec![0usize; partition.shards()];
-    for node in topology.nodes() {
-        let shard = partition.shard_of(node.id());
-        if shard >= partition.shards() {
-            return Verdict::Fail(format!(
-                "node {} assigned to shard {shard} of {}",
-                node.id(),
-                partition.shards()
-            ));
-        }
-        if node.is_switch() {
-            owned[shard] += 1;
-        }
-    }
-    for &host in hosts {
-        let Some(switch) = topology.switch_of_host(host) else {
-            return Verdict::Fail(format!("host {host} has no switch"));
-        };
-        if partition.shard_of(host) != partition.shard_of(switch) {
-            return Verdict::Fail(format!(
-                "host {host} on shard {} away from its switch's shard {}",
-                partition.shard_of(host),
-                partition.shard_of(switch)
-            ));
-        }
-    }
-    if let Some(empty) = owned.iter().position(|&n| n == 0) {
-        return Verdict::Fail(format!("shard {empty} owns no switch"));
-    }
     Verdict::Pass
 }
 
 /// The fat-tree builder produces the Clos arithmetic — `(k/2)²` cores,
 /// `k` pods of `k` switches, `hosts_per_edge` hosts per edge switch and
 /// the matching link count — with every host pair at most 5 switch hops
-/// apart (edge-agg-core-agg-edge) and a partition-compatible shape.
+/// apart (edge-agg-core-agg-edge).
 fn fat_tree_shape(case: &ParamCase) -> Verdict {
     let half = case.value("half") as usize;
     let k = 2 * half;
@@ -721,7 +680,7 @@ fn fat_tree_shape(case: &ParamCase) -> Verdict {
         ));
     }
     let mut rng = SplitMix64::seed_from_u64(case.value("seed"));
-    topology_shape_checks(&topology, 5, case.value("shards") as usize, &mut rng)
+    topology_shape_checks(&topology, 5, &mut rng)
 }
 
 /// The multi-ring builder produces `rings × ring_size` switches,
@@ -759,7 +718,7 @@ fn multi_ring_shape(case: &ParamCase) -> Verdict {
     // half a ring to the destination switch.
     let max_hops = 2 * (ring_size / 2) + rings / 2 + 1;
     let mut rng = SplitMix64::seed_from_u64(case.value("seed"));
-    topology_shape_checks(&topology, max_hops, case.value("shards") as usize, &mut rng)
+    topology_shape_checks(&topology, max_hops, &mut rng)
 }
 
 /// The log2 histogram sketch lands every quantile in the same bucket as

@@ -104,8 +104,8 @@ fn gcl_is_periodic() {
     check("gcl-periodic");
 }
 
-/// Sharded latency statistics merge to the same aggregate a single pass
-/// records, in any shard order.
+/// Partitioned latency statistics merge to the same aggregate a single
+/// pass records, in any merge order.
 #[test]
 fn latency_stats_merge_matches_single_pass() {
     check("latency-merge");
