@@ -142,9 +142,6 @@ fn run_case(name: &str, flows: u32, repeats: u32, check_determinism: bool) -> Sc
         run_ns = run_ns.min(run_start.elapsed().as_nanos() as u64);
         let summary = summarize(&report);
         if rep == 0 {
-            if std::env::var("TSN_SCALE_DEBUG").is_ok() {
-                println!("{name}: {:?}", report.events);
-            }
             first = Some(summary);
         } else {
             assert_eq!(

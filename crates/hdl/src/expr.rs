@@ -5,14 +5,20 @@
 //! decimal numbers and parameter names in declaration ranges, so that is
 //! the whole grammar here. Evaluation happens against an environment of
 //! resolved parameter values; anything outside the grammar (sized
-//! literals, missing identifiers, division by zero) is a soft `Err` the
-//! callers turn into "could not resolve" rather than a lint finding.
+//! literals, missing identifiers, division by zero or overflow, nesting
+//! deeper than 64 levels) is a soft `Err` the callers turn into "could
+//! not resolve" rather than a lint finding.
 
 use crate::parse::{lex, ParsedRange, Tok, KEYWORDS};
 use std::collections::BTreeMap;
 
 /// Parameter-name → resolved-value environment.
 pub type Env = BTreeMap<String, i64>;
+
+/// Deepest nesting of parentheses and unary minus [`eval`] accepts. The
+/// evaluator recurses once per level; generated code nests a few levels,
+/// hostile input could otherwise exhaust the stack.
+const MAX_NESTING: usize = 64;
 
 /// Evaluates an integer expression against `env`.
 ///
@@ -33,10 +39,11 @@ pub type Env = BTreeMap<String, i64>;
 /// assert!(eval("MISSING-1", &env).is_err());
 /// ```
 pub fn eval(expr: &str, env: &Env) -> Result<i64, String> {
-    let toks = lex(expr);
+    let toks = lex(expr).map_err(|e| e.to_string())?;
     let mut p = ExprParser {
         toks: &toks,
         pos: 0,
+        depth: 0,
         env,
     };
     let value = p.add_expr()?;
@@ -52,11 +59,15 @@ pub fn eval(expr: &str, env: &Env) -> Result<i64, String> {
 ///
 /// # Errors
 ///
-/// Propagates [`eval`] failures from either bound.
+/// Propagates [`eval`] failures from either bound, and fails when the
+/// width overflows `i64`.
 pub fn range_width(range: &ParsedRange, env: &Env) -> Result<i64, String> {
     let msb = eval(&range.msb, env)?;
     let lsb = eval(&range.lsb, env)?;
-    Ok((msb - lsb).abs() + 1)
+    msb.checked_sub(lsb)
+        .and_then(i64::checked_abs)
+        .and_then(|w| w.checked_add(1))
+        .ok_or_else(|| format!("range [{msb}:{lsb}] overflows"))
 }
 
 /// Bit width of a connection expression, where statically known.
@@ -68,7 +79,7 @@ pub fn range_width(range: &ParsedRange, env: &Env) -> Result<i64, String> {
 /// width lint must not judge them.
 #[must_use]
 pub fn connection_width(expr: &str, net_widths: &BTreeMap<String, i64>) -> Option<i64> {
-    let toks = lex(expr);
+    let toks = lex(expr).ok()?;
     match toks.as_slice() {
         [Tok::Ident(name)] => net_widths.get(name).copied(),
         [Tok::Number(num)] => {
@@ -80,11 +91,12 @@ pub fn connection_width(expr: &str, net_widths: &BTreeMap<String, i64>) -> Optio
 }
 
 /// Every non-keyword identifier mentioned in an expression, in order of
-/// first appearance.
+/// first appearance. Text that does not lex (unbalanced brackets, an
+/// unterminated comment) mentions none.
 #[must_use]
 pub fn idents(expr: &str) -> Vec<String> {
     let mut seen = Vec::new();
-    for tok in lex(expr) {
+    for tok in lex(expr).unwrap_or_default() {
         if let Tok::Ident(name) = tok {
             if !KEYWORDS.contains(&name.as_str()) && !seen.contains(&name) {
                 seen.push(name);
@@ -97,6 +109,8 @@ pub fn idents(expr: &str) -> Vec<String> {
 struct ExprParser<'a> {
     toks: &'a [Tok],
     pos: usize,
+    /// Open parentheses and unary minuses around the current atom.
+    depth: usize,
     env: &'a Env,
 }
 
@@ -132,7 +146,9 @@ impl ExprParser<'_> {
                     if rhs == 0 {
                         return Err("division by zero".to_owned());
                     }
-                    acc /= rhs;
+                    acc = acc
+                        .checked_div(rhs)
+                        .ok_or_else(|| format!("{acc}/{rhs} overflows"))?;
                 }
                 Some(Tok::Sym('%')) => {
                     self.pos += 1;
@@ -140,22 +156,38 @@ impl ExprParser<'_> {
                     if rhs == 0 {
                         return Err("modulo by zero".to_owned());
                     }
-                    acc %= rhs;
+                    acc = acc
+                        .checked_rem(rhs)
+                        .ok_or_else(|| format!("{acc}%{rhs} overflows"))?;
                 }
                 _ => return Ok(acc),
             }
         }
     }
 
+    /// Enters one nesting level (a `(` or a unary `-`) around `inner`.
+    fn nested(
+        &mut self,
+        inner: impl FnOnce(&mut Self) -> Result<i64, String>,
+    ) -> Result<i64, String> {
+        if self.depth == MAX_NESTING {
+            return Err(format!("expression nests deeper than {MAX_NESTING} levels"));
+        }
+        self.depth += 1;
+        let value = inner(self);
+        self.depth -= 1;
+        value
+    }
+
     fn atom(&mut self) -> Result<i64, String> {
         match self.toks.get(self.pos) {
             Some(Tok::Sym('-')) => {
                 self.pos += 1;
-                Ok(self.atom()?.saturating_neg())
+                self.nested(|p| Ok(p.atom()?.saturating_neg()))
             }
             Some(Tok::Sym('(')) => {
                 self.pos += 1;
-                let value = self.add_expr()?;
+                let value = self.nested(Self::add_expr)?;
                 if self.toks.get(self.pos) != Some(&Tok::Sym(')')) {
                     return Err("missing closing parenthesis".to_owned());
                 }
@@ -242,6 +274,39 @@ mod tests {
         assert_eq!(connection_width("a&b", &nets), None);
         assert_eq!(connection_width("{a,b}", &nets), None);
         assert_eq!(connection_width("missing", &nets), None);
+    }
+
+    #[test]
+    fn overflowing_arithmetic_is_a_soft_error() {
+        let e = Env::new();
+        assert!(eval("(0-9223372036854775807-1)/(0-1)", &e).is_err());
+        assert!(eval("(0-9223372036854775807-1)%(0-1)", &e).is_err());
+        let range = ParsedRange {
+            msb: "0-9223372036854775807-1".into(),
+            lsb: "1".into(),
+        };
+        assert!(range_width(&range, &e).is_err());
+        // The lint pass evaluates parameter defaults and port ranges.
+        for src in [
+            "module m #(\n parameter W = (0-9223372036854775807-1)/(0-1)\n) (\n input clk\n);\nendmodule\n",
+            "module m #(\n parameter W = (0-9223372036854775807-1)%(0-1)\n) (\n input clk\n);\nendmodule\n",
+            "module m (\n input [0-9223372036854775807-1:1] x\n);\nendmodule\n",
+        ] {
+            let modules = crate::parse::parse_modules(src).expect("parses");
+            let _ = crate::lint::lint_modules(&modules);
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let e = env(&[("W", 32)]);
+        let at_limit = format!("{}W{}", "(".repeat(MAX_NESTING), ")".repeat(MAX_NESTING));
+        assert_eq!(eval(&at_limit, &e), Ok(32));
+        assert_eq!(eval(&format!("{}W", "-".repeat(MAX_NESTING)), &e), Ok(32));
+        let deep = 100_000;
+        let parens = format!("{}W{}", "(".repeat(deep), ")".repeat(deep));
+        assert!(eval(&parens, &e).is_err());
+        assert!(eval(&format!("{}W", "-".repeat(deep)), &e).is_err());
     }
 
     #[test]

@@ -11,12 +11,13 @@
 //! * [`templates`] — generators for the five templates plus the shared
 //!   primitives (`dpram`, `meta_fifo`) and the `tsn_switch_top` that wires
 //!   one Gate Ctrl + Egress Sched per enabled TSN port;
-//! * [`validate`] — a lexical checker (balance, identifiers, duplicate
-//!   modules) every generated file must pass;
-//! * [`parse`] — a structural parser producing a module/port/parameter/
-//!   memory/instance IR rich enough to analyze;
-//! * [`expr`] — integer evaluation of the width/depth expressions the
-//!   parser keeps as text, against a parameter environment;
+//! * [`parse`] — the one reader of Verilog text: a structural parser
+//!   producing a module/port/parameter/memory/instance IR rich enough to
+//!   analyze, which also rejects unbalanced brackets and `begin`/`end`
+//!   blocks and duplicate modules; every generated file must parse;
+//! * [`expr`] — depth-bounded integer evaluation of the width/depth
+//!   expressions the parser keeps as text, against a parameter
+//!   environment;
 //! * [`lint`] — structural checks over the parsed IR (width mismatches,
 //!   unused ports, undeclared identifiers, address-width/depth
 //!   violations, …); shipped bundles must lint clean;
@@ -48,7 +49,6 @@ pub mod expr;
 pub mod lint;
 pub mod parse;
 pub mod templates;
-pub mod validate;
 
 pub use ast::{Dir, Item, Module, Param, Port};
 pub use cost::{check_agreement, cost_of, HdlCost, MemoryInstance};
@@ -57,4 +57,3 @@ pub use parse::{
     parse_modules, ParsedInstance, ParsedMemory, ParsedModule, ParsedNet, ParsedPort, ParsedRange,
 };
 pub use templates::{generate, HdlBundle};
-pub use validate::check_source;

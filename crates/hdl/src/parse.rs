@@ -10,6 +10,11 @@
 //! connections. Width expressions stay textual here; [`crate::expr`]
 //! evaluates them against a parameter environment.
 //!
+//! It is also the crate's only reader of Verilog text, so it rejects what
+//! a structural read alone would let through: unbalanced brackets or
+//! `begin`/`end` blocks, an unterminated block comment, anything between
+//! modules (a stray `endmodule`) and a repeated module name.
+//!
 //! Every public entry point returns [`TsnError::InvalidArtifact`] on
 //! malformed or truncated input — never a panic (pinned by the
 //! prefix-truncation tests below).
@@ -27,11 +32,16 @@ pub(crate) enum Tok {
 }
 
 /// Lexes a source fragment. `//` line comments and `/* … */` block
-/// comments (including multi-line ones) are skipped; an unterminated
-/// block comment silently swallows the rest of the input, which the
-/// structural checks downstream then report.
-pub(crate) fn lex(source: &str) -> Vec<Tok> {
+/// comments (including multi-line ones) are skipped.
+///
+/// # Errors
+///
+/// Returns [`TsnError::InvalidArtifact`] for an unterminated block
+/// comment (it would swallow the rest of the input) and for brackets
+/// that do not balance or nest (`(`/`)`, `[`/`]`, `{`/`}`).
+pub(crate) fn lex(source: &str) -> TsnResult<Vec<Tok>> {
     let mut toks = Vec::new();
+    let mut open = Vec::new();
     let mut chars = source.chars().peekable();
     while let Some(&c) = chars.peek() {
         if c.is_whitespace() {
@@ -49,11 +59,18 @@ pub(crate) fn lex(source: &str) -> Vec<Tok> {
                 Some(&'*') => {
                     chars.next();
                     let mut prev = ' ';
+                    let mut terminated = false;
                     for c in chars.by_ref() {
                         if prev == '*' && c == '/' {
+                            terminated = true;
                             break;
                         }
                         prev = c;
+                    }
+                    if !terminated {
+                        return Err(TsnError::InvalidArtifact(
+                            "unterminated block comment".to_owned(),
+                        ));
                     }
                 }
                 _ => toks.push(Tok::Sym('/')),
@@ -82,11 +99,30 @@ pub(crate) fn lex(source: &str) -> Vec<Tok> {
             }
             toks.push(Tok::Number(num));
         } else {
+            match c {
+                '(' | '[' | '{' => open.push(c),
+                ')' | ']' | '}' => {
+                    let opener = match c {
+                        ')' => '(',
+                        ']' => '[',
+                        _ => '{',
+                    };
+                    if open.pop() != Some(opener) {
+                        return Err(TsnError::InvalidArtifact(format!(
+                            "unbalanced bracket {c:?}"
+                        )));
+                    }
+                }
+                _ => {}
+            }
             toks.push(Tok::Sym(c));
             chars.next();
         }
     }
-    toks
+    if let Some(c) = open.pop() {
+        return Err(TsnError::InvalidArtifact(format!("unclosed bracket {c:?}")));
+    }
+    Ok(toks)
 }
 
 /// A `[msb:lsb]` range, both bounds kept as expression text.
@@ -419,8 +455,10 @@ impl Parser {
         }
         self.expect_sym(';', "module header")?;
 
-        // Body: structured declarations, instances, endmodule.
+        // Body: structured declarations, instances, balanced
+        // `begin`/`end` blocks, endmodule.
         let body_start = self.pos;
+        let mut open_blocks = 0usize;
         loop {
             match self.next() {
                 None => {
@@ -429,7 +467,24 @@ impl Parser {
                         module.name
                     )))
                 }
-                Some(Tok::Ident(kw)) if kw == "endmodule" => break,
+                Some(Tok::Ident(kw)) if kw == "endmodule" => {
+                    if open_blocks > 0 {
+                        return Err(TsnError::InvalidArtifact(format!(
+                            "module {}: {open_blocks} unclosed begin block(s)",
+                            module.name
+                        )));
+                    }
+                    break;
+                }
+                Some(Tok::Ident(kw)) if kw == "begin" => open_blocks += 1,
+                Some(Tok::Ident(kw)) if kw == "end" => {
+                    open_blocks = open_blocks.checked_sub(1).ok_or_else(|| {
+                        TsnError::InvalidArtifact(format!(
+                            "module {}: end without matching begin",
+                            module.name
+                        ))
+                    })?;
+                }
                 Some(Tok::Ident(kw)) if kw == "wire" => {
                     let range = self.parse_range()?;
                     let name = self.expect_ident("wire name")?;
@@ -514,9 +569,11 @@ impl Parser {
 ///
 /// # Errors
 ///
-/// Returns [`TsnError::InvalidArtifact`] on structurally broken input
-/// (missing `endmodule`, malformed parameter/port lists, truncated
-/// declarations).
+/// Returns [`TsnError::InvalidArtifact`] on structurally broken input:
+/// unbalanced brackets or `begin`/`end` blocks, an unterminated block
+/// comment, a missing or stray `endmodule` (any top-level token but
+/// `module`), a repeated module name, malformed parameter/port lists and
+/// truncated declarations.
 ///
 /// # Example
 ///
@@ -533,14 +590,24 @@ impl Parser {
 /// ```
 pub fn parse_modules(source: &str) -> TsnResult<Vec<ParsedModule>> {
     let mut parser = Parser {
-        toks: lex(source),
+        toks: lex(source)?,
         pos: 0,
     };
-    let mut modules = Vec::new();
+    let mut modules: Vec<ParsedModule> = Vec::new();
     while let Some(tok) = parser.next() {
-        if tok == Tok::Ident("module".to_owned()) {
-            modules.push(parser.parse_module()?);
+        if tok != Tok::Ident("module".to_owned()) {
+            return Err(TsnError::InvalidArtifact(format!(
+                "expected module at top level, found {tok:?}"
+            )));
         }
+        let module = parser.parse_module()?;
+        if modules.iter().any(|m| m.name == module.name) {
+            return Err(TsnError::InvalidArtifact(format!(
+                "duplicate module {:?}",
+                module.name
+            )));
+        }
+        modules.push(module);
     }
     Ok(modules)
 }
@@ -625,20 +692,69 @@ mod tests {
     }
 
     #[test]
-    fn block_comments_are_skipped_even_with_keywords_inside() {
-        let src =
-            "module m ( input clk );\n/* module fake ( input x );\n   begin [ ( */\nendmodule\n";
-        let modules = parse_modules(src).expect("parses");
-        assert_eq!(modules.len(), 1);
-        assert_eq!(modules[0].name, "m");
-        // Inline form too.
-        let src2 = "module /* not_the_name */ n ( input clk );\nendmodule\n";
-        assert_eq!(parse_modules(src2).expect("parses")[0].name, "n");
-    }
-
-    #[test]
-    fn rejects_missing_endmodule() {
-        assert!(parse_modules("module broken ( input clk );\n").is_err());
+    fn accepts_and_rejects_source_shapes() {
+        // (source, name of its one module, or `None` for a reject)
+        let cases: &[(&str, Option<&str>)] = &[
+            (
+                "module m #(\n parameter W = 8\n) (\n input clk\n);\n\
+                 always @(posedge clk) begin\n end\nendmodule\n",
+                Some("m"),
+            ),
+            // Comments: line, inline, multi-line, between keyword and
+            // name, and `//` inside `/* */`.
+            (
+                "module m ( input clk ); // begin ( [ module\nendmodule\n",
+                Some("m"),
+            ),
+            (
+                "module m ( input clk ); /* begin ( [ module */\nendmodule\n",
+                Some("m"),
+            ),
+            (
+                "module m ( input clk );\n/* module ghost ( input x );\n\
+                 begin begin [ { (\n*/\nendmodule\n",
+                Some("m"),
+            ),
+            ("module/* x */m ( input clk );\nendmodule\n", Some("m")),
+            (
+                "module /* not_the_name */ n ( input clk );\nendmodule\n",
+                Some("n"),
+            ),
+            (
+                "module m ( input clk );\n/* // x\nbegin [\n*/\nendmodule\n",
+                Some("m"),
+            ),
+            // `legend` and `end_of_frame` are not `end`.
+            (
+                "module m ( input clk );\nalways @(posedge clk) begin\n\
+                 legend <= end_of_frame;\nend\nendmodule\n",
+                Some("m"),
+            ),
+            ("module a ();\nendmodule\nendmodule\n", None), // stray endmodule
+            ("module a ();\n", None),                       // missing endmodule
+            (
+                "module m ( input clk );\nalways @(posedge clk) begin\nendmodule\n",
+                None,
+            ),
+            ("module m ( input clk );\nend\nendmodule\n", None), // stray end
+            ("module a ();\nendmodule\nmodule a ();\nendmodule\n", None), // duplicate
+            ("module m ( input clk );\nendmodule\n/* trailing", None), // unterminated
+            (
+                "module m ( input clk );\nalways @(posedge clk) begin\n\
+                 legend <= (clk;\nend\nendmodule\n",
+                None,
+            ),
+            ("module m ( input [7:0 d );\nendmodule\n", None),
+            ("module m ( input d ));\nendmodule\n", None),
+            ("module 1abc ( input clk );\nendmodule\n", None),
+        ];
+        for &(src, expected) in cases {
+            let got = parse_modules(src).map(|ms| ms.into_iter().map(|m| m.name).collect());
+            match expected {
+                Some(name) => assert_eq!(got.ok(), Some(vec![name.to_owned()]), "{src:?}"),
+                None => assert!(got.is_err(), "{src:?} accepted"),
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! complete RTL.
 
 use crate::ast::{Item, Module, Port};
-use crate::validate::check_source;
+use crate::parse::parse_modules;
+use std::collections::BTreeSet;
 use tsn_resource::ResourceConfig;
 use tsn_types::{TsnError, TsnResult};
 
@@ -63,13 +64,13 @@ fn addr_width(depth: u32) -> u32 {
 }
 
 /// Generates the complete per-switch HDL bundle for `config` and
-/// validates every file.
+/// parses every file back.
 ///
 /// # Errors
 ///
-/// Returns [`TsnError::InvalidArtifact`] if any generated file fails
-/// lexical validation (a generator bug), or propagates configuration
-/// errors.
+/// Returns [`TsnError::InvalidArtifact`] if any generated file fails to
+/// parse or two files declare the same module (a generator bug), or
+/// propagates configuration errors.
 pub fn generate(config: &ResourceConfig) -> TsnResult<HdlBundle> {
     let modules = vec![
         ("dpram.v", dpram()),
@@ -86,12 +87,27 @@ pub fn generate(config: &ResourceConfig) -> TsnResult<HdlBundle> {
         .into_iter()
         .map(|(name, module)| (name.to_owned(), module.emit()))
         .collect();
-    for (name, src) in &files {
-        check_source(src).map_err(|e| TsnError::InvalidArtifact(format!("{name}: {e}")))?;
+    check_files(&files)?;
+    Ok(HdlBundle { files })
+}
+
+/// Parses each file on its own and rejects a module name declared by
+/// more than one of them.
+fn check_files(files: &[(String, String)]) -> TsnResult<()> {
+    let mut declared = BTreeSet::new();
+    for (name, src) in files {
+        let modules =
+            parse_modules(src).map_err(|e| TsnError::InvalidArtifact(format!("{name}: {e}")))?;
+        for module in modules {
+            if !declared.insert(module.name.clone()) {
+                return Err(TsnError::InvalidArtifact(format!(
+                    "{name}: module {:?} is already declared by another file",
+                    module.name
+                )));
+            }
+        }
     }
-    let bundle = HdlBundle { files };
-    check_source(&bundle.concatenated())?;
-    Ok(bundle)
+    Ok(())
 }
 
 /// Generic simple-dual-port RAM, the BRAM-inferrable primitive every
@@ -974,18 +990,25 @@ mod tests {
     }
 
     #[test]
-    fn every_file_passes_validation_for_varied_configs() {
+    fn every_file_parses_for_varied_configs() {
         for ports in [1u32, 2, 3, 4] {
             let mut cfg = ResourceConfig::new();
             cfg.set_gate_tbl(2, 8, ports)
                 .expect("valid")
                 .set_buffers(96, ports)
                 .expect("valid");
-            let bundle = generate(&cfg).expect("generation succeeds");
-            for (name, src) in bundle.files() {
-                check_source(src).unwrap_or_else(|e| panic!("{name}: {e}"));
-            }
+            generate(&cfg).expect("every file parses back");
         }
+    }
+
+    #[test]
+    fn a_module_declared_by_two_files_is_rejected() {
+        let file = |file: &str, module: &str| {
+            (file.to_owned(), format!("module {module} ();\nendmodule\n"))
+        };
+        assert!(check_files(&[file("a.v", "a"), file("b.v", "b")]).is_ok());
+        assert!(check_files(&[file("a.v", "a"), file("b.v", "a")]).is_err());
+        assert!(check_files(&[file("a.v", "a"), file("b.v", "1b")]).is_err());
     }
 
     #[test]

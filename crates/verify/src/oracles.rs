@@ -338,9 +338,9 @@ fn expect_param(m: &ParsedModule, param: &str, want: u32) -> Result<(), String> 
 }
 
 /// Oracle 4 — HDL fixpoint: customizing a derived configuration into
-/// Verilog must produce sources that lint clean ([`tsn_hdl::check_source`]),
-/// parse back ([`tsn_hdl::parse_modules`]) with parameters matching the
-/// resource config, and re-emit byte-identically.
+/// Verilog must produce sources that parse back
+/// ([`tsn_hdl::parse_modules`]) with parameters matching the resource
+/// config, and re-emit byte-identically.
 pub fn hdl_fixpoint(case: &ScenarioCase) -> Verdict {
     let (_, _, derived) = match prepare(case) {
         Ok(x) => x,
@@ -353,9 +353,6 @@ pub fn hdl_fixpoint(case: &ScenarioCase) -> Verdict {
     };
     let mut modules = Vec::new();
     for (name, source) in bundle.files() {
-        if let Err(e) = tsn_hdl::check_source(source) {
-            return Verdict::Fail(format!("{name}: emitted source fails lint: {e}"));
-        }
         match tsn_hdl::parse_modules(source) {
             Ok(parsed) => modules.extend(parsed),
             Err(e) => return Verdict::Fail(format!("{name}: emitted source fails to parse: {e}")),

@@ -16,8 +16,6 @@
 use std::fs;
 use std::path::Path;
 use tsn_builder_suite::hdl_presets::HDL_PRESETS;
-use tsn_hdl::validate::check_source;
-use tsn_types::TsnError;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     for preset in HDL_PRESETS {
@@ -29,9 +27,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             if preset.skip.contains(&name.as_str()) {
                 continue;
             }
-            // Belt and braces: every file must re-validate before it is
-            // written out.
-            check_source(source).map_err(|e| TsnError::InvalidArtifact(format!("{name}: {e}")))?;
             fs::write(out_dir.join(name), source)?;
             written += 1;
         }

@@ -222,9 +222,5 @@ fn hdl_reflects_derivation() -> Result<(), TsnError> {
         top.contains("parameter PORT_NUM = 2"),
         "linear: 2 TSN ports"
     );
-    for (name, src) in bundle.files() {
-        tsn_hdl::validate::check_source(src)
-            .unwrap_or_else(|e| panic!("{name} failed validation: {e}"));
-    }
     Ok(())
 }
