@@ -43,6 +43,34 @@ fn micros_field(obj: &Json, at: &str, key: &str) -> Result<SimDuration, String> 
     Ok(SimDuration::from_micros(u64_field(obj, at, key)?))
 }
 
+// Admission limits on the request fields that size a query's network
+// and its simulation. Each sits far above every shipped batch (at most
+// 6 switches and 32 TS flows on a few-millisecond horizon) and the
+// verify generator's 6-switch, 24-flow cases; a value above one is
+// rejected at parse time, before anything it sizes is allocated.
+
+/// TS flows per query.
+pub const MAX_TS_COUNT: u64 = 4096;
+/// Switches of a named preset or an inline topology.
+pub const MAX_SWITCHES: u64 = 64;
+/// Hosts of a named preset or an inline topology.
+pub const MAX_HOSTS: u64 = 256;
+/// Links of an inline topology.
+pub const MAX_LINKS: u64 = 4096;
+/// Simulated horizon, microseconds (one second).
+pub const MAX_DURATION_US: u64 = 1_000_000;
+
+/// `value`, or a named error when it is above `limit`.
+fn at_most(value: u64, limit: u64, at: &str, path: &str) -> Result<u64, String> {
+    if value > limit {
+        return Err(err(
+            at,
+            format!("field {path:?} is {value}, above the limit of {limit}"),
+        ));
+    }
+    Ok(value)
+}
+
 fn str_field(obj: &Json, at: &str, key: &str) -> Result<String, String> {
     Ok(require(obj, at, key)?
         .as_str()
@@ -68,20 +96,23 @@ fn parse_topology(value: &Json, at: &str) -> Result<TopologySpec, String> {
     }
     if value.get("kind").is_some() {
         reject_unknown(value, at, &["kind", "switches", "hosts"])?;
+        let switches = u64_field(value, at, "switches")?;
+        let hosts = u64_field(value, at, "hosts")?;
         return Ok(TopologySpec::Named {
             kind: str_field(value, at, "kind")?,
-            switches: u64_field(value, at, "switches")? as usize,
-            hosts: u64_field(value, at, "hosts")? as usize,
+            switches: at_most(switches, MAX_SWITCHES, at, "topology.switches")? as usize,
+            hosts: at_most(hosts, MAX_HOSTS, at, "topology.hosts")? as usize,
         });
     }
     reject_unknown(value, at, &["switches", "hosts", "links"])?;
-    let names = |key: &str| -> Result<Vec<String>, String> {
+    let names = |key: &str, limit: u64| -> Result<Vec<String>, String> {
         let Some(Json::Arr(items)) = value.get(key) else {
             return Err(err(
                 at,
                 format!("inline topology field {key:?} must be an array"),
             ));
         };
+        at_most(items.len() as u64, limit, at, &format!("topology.{key}"))?;
         items
             .iter()
             .map(|item| {
@@ -94,6 +125,7 @@ fn parse_topology(value: &Json, at: &str) -> Result<TopologySpec, String> {
     let Some(Json::Arr(raw_links)) = value.get("links") else {
         return Err(err(at, "inline topology field \"links\" must be an array"));
     };
+    at_most(raw_links.len() as u64, MAX_LINKS, at, "topology.links")?;
     let mut links = Vec::with_capacity(raw_links.len());
     for link in raw_links {
         let Json::Arr(pair) = link else {
@@ -108,8 +140,8 @@ fn parse_topology(value: &Json, at: &str) -> Result<TopologySpec, String> {
         links.push((a.to_owned(), b.to_owned()));
     }
     Ok(TopologySpec::Inline {
-        switches: names("switches")?,
-        hosts: names("hosts")?,
+        switches: names("switches", MAX_SWITCHES)?,
+        hosts: names("hosts", MAX_HOSTS)?,
         links,
     })
 }
@@ -145,14 +177,24 @@ fn parse_query(value: &Json, index: usize) -> Result<QosQuery, String> {
     Ok(QosQuery {
         label: str_field(value, &at, "label")?,
         topology: parse_topology(require(value, &at, "topology")?, &at)?,
-        ts_count: u32_field(value, &at, "ts_count")?,
+        ts_count: at_most(
+            u64_field(value, &at, "ts_count")?,
+            MAX_TS_COUNT,
+            &at,
+            "ts_count",
+        )? as u32,
         frame_bytes: u32_field(value, &at, "frame_bytes")?,
         period: micros_field(value, &at, "period_us")?,
         seed: u64_field(value, &at, "seed")?,
         deadline: micros_field(value, &at, "deadline_us")?,
         jitter,
         max_lost,
-        duration: micros_field(value, &at, "duration_us")?,
+        duration: SimDuration::from_micros(at_most(
+            u64_field(value, &at, "duration_us")?,
+            MAX_DURATION_US,
+            &at,
+            "duration_us",
+        )?),
     })
 }
 
@@ -169,7 +211,9 @@ fn parse_query(value: &Json, index: usize) -> Result<QosQuery, String> {
 ///
 /// Lexical errors from the strict parser (trailing garbage and duplicate
 /// keys included) and structural errors naming the offending query index
-/// and field — unknown fields are rejected, not ignored.
+/// and field — unknown fields are rejected, not ignored — including a
+/// field above its admission limit ([`MAX_TS_COUNT`], [`MAX_SWITCHES`],
+/// [`MAX_HOSTS`], [`MAX_LINKS`], [`MAX_DURATION_US`]).
 pub fn parse_batch(text: &str) -> Result<Vec<QosQuery>, String> {
     let root = parse(text)?;
     if !matches!(root, Json::Obj(_)) {
@@ -370,6 +414,123 @@ mod tests {
         let bad = inline.replace(r#"["s0", "h1"]"#, r#"["s0"]"#);
         let e = parse_batch(&bad).expect_err("one-endpoint link");
         assert!(e.contains("exactly two endpoints"), "{e}");
+    }
+
+    const NAMED: &str = r#"{"kind": "ring", "switches": 3, "hosts": 2}"#;
+
+    /// An inline topology of `switches` switches, `hosts` hosts and
+    /// `links` links (parsing does not resolve link endpoints).
+    fn inline(switches: u64, hosts: u64, links: u64) -> String {
+        let names = |prefix: &str, n: u64| {
+            let names: Vec<String> = (0..n).map(|i| format!("\"{prefix}{i}\"")).collect();
+            names.join(", ")
+        };
+        let links = vec![r#"["h0", "s0"]"#; links as usize].join(", ");
+        format!(
+            r#"{{"switches": [{}], "hosts": [{}], "links": [{links}]}}"#,
+            names("s", switches),
+            names("h", hosts)
+        )
+    }
+
+    /// `MINIMAL` with `from` replaced by `to` must be refused, naming
+    /// the query and the field path.
+    fn assert_refused(from: &str, to: &str, path: &str) {
+        let e = parse_batch(&MINIMAL.replace(from, to)).expect_err("above the limit");
+        assert!(
+            e.contains("queries[0]") && e.contains(&format!("{path:?}")) && e.contains("limit"),
+            "{e}"
+        );
+    }
+
+    #[test]
+    fn ts_count_above_its_limit_is_refused() {
+        let over = format!("\"ts_count\": {}", MAX_TS_COUNT + 1);
+        assert_refused("\"ts_count\": 4", &over, "ts_count");
+        // Far beyond 32 bits is the same named refusal.
+        assert_refused("\"ts_count\": 4", "\"ts_count\": 200000000000", "ts_count");
+    }
+
+    #[test]
+    fn duration_above_its_limit_is_refused() {
+        let over = format!("\"duration_us\": {}", MAX_DURATION_US + 1);
+        assert_refused("\"duration_us\": 5000", &over, "duration_us");
+    }
+
+    #[test]
+    fn named_switches_above_the_limit_are_refused() {
+        let over = NAMED.replace(
+            "\"switches\": 3",
+            &format!("\"switches\": {}", MAX_SWITCHES + 1),
+        );
+        assert_refused(NAMED, &over, "topology.switches");
+    }
+
+    #[test]
+    fn named_hosts_above_the_limit_are_refused() {
+        let over = NAMED.replace("\"hosts\": 2", &format!("\"hosts\": {}", MAX_HOSTS + 1));
+        assert_refused(NAMED, &over, "topology.hosts");
+    }
+
+    #[test]
+    fn inline_switches_above_the_limit_are_refused() {
+        assert_refused(NAMED, &inline(MAX_SWITCHES + 1, 2, 2), "topology.switches");
+    }
+
+    #[test]
+    fn inline_hosts_above_the_limit_are_refused() {
+        assert_refused(NAMED, &inline(1, MAX_HOSTS + 1, 2), "topology.hosts");
+    }
+
+    #[test]
+    fn inline_links_above_the_limit_are_refused() {
+        assert_refused(NAMED, &inline(1, 2, MAX_LINKS + 1), "topology.links");
+    }
+
+    #[test]
+    fn every_limit_admits_its_boundary_value() {
+        let at_limit = MINIMAL
+            .replace("\"ts_count\": 4", &format!("\"ts_count\": {MAX_TS_COUNT}"))
+            .replace(
+                "\"duration_us\": 5000",
+                &format!("\"duration_us\": {MAX_DURATION_US}"),
+            );
+        let named = at_limit.replace(
+            NAMED,
+            &format!(r#"{{"kind": "ring", "switches": {MAX_SWITCHES}, "hosts": {MAX_HOSTS}}}"#),
+        );
+        let queries = parse_batch(&named).expect("named preset at every limit parses");
+        assert_eq!(queries[0].ts_count as u64, MAX_TS_COUNT);
+        assert_eq!(
+            queries[0].duration,
+            SimDuration::from_micros(MAX_DURATION_US)
+        );
+        assert_eq!(
+            queries[0].topology,
+            TopologySpec::Named {
+                kind: "ring".to_owned(),
+                switches: MAX_SWITCHES as usize,
+                hosts: MAX_HOSTS as usize,
+            }
+        );
+        let inline = at_limit.replace(NAMED, &inline(MAX_SWITCHES, MAX_HOSTS, MAX_LINKS));
+        let queries = parse_batch(&inline).expect("inline topology at every limit parses");
+        let TopologySpec::Inline {
+            switches,
+            hosts,
+            links,
+        } = &queries[0].topology
+        else {
+            panic!("inline topology parsed as a preset");
+        };
+        assert_eq!(
+            (switches.len(), hosts.len(), links.len()),
+            (
+                MAX_SWITCHES as usize,
+                MAX_HOSTS as usize,
+                MAX_LINKS as usize
+            )
+        );
     }
 
     #[test]

@@ -1,217 +1,12 @@
 //! `dse` — the design-space-search service CLI.
 //!
-//! Two modes:
-//!
-//! * **Batch** (default): read a strict-JSON request (`{"queries":
-//!   [...]}`, see `tsn_dse::parse_batch`) from a file argument or stdin
-//!   and print the response. `--workers N` sizes the pool; the response
-//!   bytes are identical for every worker count.
-//! * **Bench** (`--bench` / `--smoke`): answer three deterministic
-//!   100-query batches (one per topology family, 20 unique queries × 5
-//!   labels each — the duplication is the service's cache-hit workload)
-//!   on a fresh engine per pass,
-//!   best-of-passes within the `TSN_DSE_MS` budget (default 2000), and
-//!   write `BENCH_9.json` at the repo root with queries/sec and cache
-//!   hit rates per family. CI smokes this and gates the queries/sec
-//!   geomean vs the pinned baselines at >= 0.95x; positional arguments
-//!   filter families by substring.
+//! Reads a strict-JSON request (`{"queries": [...]}`, see
+//! `tsn_dse::parse_batch`) from a file argument or stdin and prints the
+//! response. `--workers N` sizes the pool; the response bytes are
+//! identical for every worker count. A malformed request exits 2;
+//! infeasible queries are answered results, not failures.
 
-use std::time::Instant;
-
-use tsn_dse::{parse_batch, run_batch, DseEngine, QosQuery, TopologySpec};
-use tsn_types::SimDuration;
-
-/// Pinned queries/sec per family, recorded on this machine at
-/// `TSN_DSE_MS=8000` (commit that introduced BENCH_9.json). The CI gate
-/// keeps the geomean of current/baseline >= 0.95.
-const BASELINE_QUERIES_PER_SEC: &[(&str, f64)] = &[
-    ("dse/ring", 7600.0),
-    ("dse/linear", 7200.0),
-    ("dse/star", 6500.0),
-];
-
-/// Labels every duplicated copy of a unique query distinctly, so the
-/// bench exercises the label-independent fingerprint dedup path.
-const COPIES_PER_QUERY: usize = 5;
-
-fn bench_family(kind: &str) -> Vec<QosQuery> {
-    let mut queries = Vec::new();
-    for unique in 0..20u64 {
-        // Mild diversity per unique query: flow count, deadline and seed
-        // all move, and every fourth query adds a jitter target so the
-        // slot-capping path is on the benched workload.
-        let ts_count = 4 + 2 * (unique as u32 % 3);
-        let deadline_us = [3000, 4000, 6000, 4000][unique as usize % 4];
-        let jitter = (unique % 4 == 3).then(|| SimDuration::from_micros(130));
-        let base = QosQuery {
-            label: String::new(),
-            topology: TopologySpec::Named {
-                kind: kind.to_owned(),
-                switches: 3,
-                hosts: 2,
-            },
-            ts_count,
-            frame_bytes: 128,
-            period: SimDuration::from_millis(2),
-            seed: 100 + unique,
-            deadline: SimDuration::from_micros(deadline_us),
-            jitter,
-            max_lost: 0,
-            duration: SimDuration::from_millis(4),
-        };
-        for copy in 0..COPIES_PER_QUERY {
-            let mut q = base.clone();
-            q.label = format!("{kind}/{unique}/{copy}");
-            queries.push(q);
-        }
-    }
-    queries
-}
-
-struct FamilyResult {
-    name: String,
-    queries: usize,
-    unique: usize,
-    passes: u32,
-    best_ns: u64,
-    queries_per_sec: f64,
-    sims: u64,
-    answers_hit_rate: f64,
-    plans_hit_rate: f64,
-    candidates_hit_rate: f64,
-}
-
-fn run_family(name: &str, kind: &str, workers: usize, budget_ms: u64) -> FamilyResult {
-    let queries = bench_family(kind);
-    let unique = queries.len() / COPIES_PER_QUERY;
-    let family_start = Instant::now();
-    let mut best_ns = u64::MAX;
-    let mut passes = 0u32;
-    let stats = loop {
-        // Fresh engine per pass: the bench measures cold-engine batch
-        // throughput (intra-batch dedup included), not rewarmed caches.
-        let engine = DseEngine::new();
-        let pass_start = Instant::now();
-        let response = run_batch(&engine, &queries, workers);
-        best_ns = best_ns.min(pass_start.elapsed().as_nanos() as u64);
-        passes += 1;
-        let stats = engine.stats();
-        let feasible = response
-            .get("feasible")
-            .and_then(tsn_experiments::json::Json::as_u64)
-            .unwrap_or(0);
-        assert_eq!(
-            feasible as usize,
-            queries.len(),
-            "{name}: the bench workload must stay fully feasible"
-        );
-        if family_start.elapsed().as_millis() as u64 >= budget_ms {
-            break stats;
-        }
-    };
-    FamilyResult {
-        name: name.to_owned(),
-        queries: queries.len(),
-        unique,
-        passes,
-        best_ns,
-        queries_per_sec: queries.len() as f64 / (best_ns as f64 / 1e9),
-        sims: stats.candidates.misses,
-        answers_hit_rate: stats.answers.hit_rate(),
-        plans_hit_rate: stats.plans.hit_rate(),
-        candidates_hit_rate: stats.candidates.hit_rate(),
-    }
-}
-
-fn write_bench_json(results: &[FamilyResult], budget_ms: u64) {
-    let baselines: std::collections::HashMap<&str, f64> =
-        BASELINE_QUERIES_PER_SEC.iter().copied().collect();
-    let mut entries = Vec::new();
-    let mut ratios = Vec::new();
-    for r in results {
-        let baseline = baselines.get(r.name.as_str()).copied();
-        let ratio = baseline.map(|b| r.queries_per_sec / b);
-        if let Some(v) = ratio {
-            ratios.push(v);
-        }
-        entries.push(format!(
-            "    {{\"name\": \"{}\", \"queries\": {}, \"unique\": {}, \"passes\": {}, \
-             \"best_ns\": {}, \"queries_per_sec\": {:.1}, \"sims\": {}, \
-             \"answers_hit_rate\": {:.3}, \"plans_hit_rate\": {:.3}, \
-             \"candidates_hit_rate\": {:.3}, \
-             \"baseline_queries_per_sec\": {}, \"vs_baseline\": {}}}",
-            r.name,
-            r.queries,
-            r.unique,
-            r.passes,
-            r.best_ns,
-            r.queries_per_sec,
-            r.sims,
-            r.answers_hit_rate,
-            r.plans_hit_rate,
-            r.candidates_hit_rate,
-            baseline.map_or("null".into(), |b| format!("{b:.1}")),
-            ratio.map_or("null".into(), |v| format!("{v:.3}")),
-        ));
-    }
-    let geomean = if ratios.is_empty() {
-        "null".to_owned()
-    } else {
-        let g = (ratios.iter().map(|r| r.ln()).sum::<f64>() / ratios.len() as f64).exp();
-        format!("{g:.3}")
-    };
-    let json = format!(
-        "{{\n  \"bench\": \"dse\",\n  \"baseline\": \"same machine, TSN_DSE_MS=8000\",\n  \
-         \"budget_ms\": {budget_ms},\n  \"queries_per_sec_geomean_vs_baseline\": {geomean},\n  \
-         \"results\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n"),
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_9.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path} (queries/sec geomean {geomean}x vs baseline)"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-}
-
-fn run_bench(filters: &[String], workers: usize) {
-    let budget_ms: u64 = std::env::var("TSN_DSE_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2000);
-    let families = [
-        ("dse/ring", "ring"),
-        ("dse/linear", "linear"),
-        ("dse/star", "star"),
-    ];
-    // Each family gets an equal slice of the budget.
-    let per_family = budget_ms / families.len() as u64;
-    let mut results = Vec::new();
-    for (name, kind) in families {
-        if !filters.is_empty() && !filters.iter().any(|f| name.contains(f.as_str())) {
-            continue;
-        }
-        let r = run_family(name, kind, workers, per_family);
-        println!(
-            "{:<12} {:>4} queries ({} unique, {} passes)  {:>8.1} q/s  {:>4} sims  \
-             cache hits: answers {:.0}% plans {:.0}% candidates {:.0}%",
-            r.name,
-            r.queries,
-            r.unique,
-            r.passes,
-            r.queries_per_sec,
-            r.sims,
-            r.answers_hit_rate * 100.0,
-            r.plans_hit_rate * 100.0,
-            r.candidates_hit_rate * 100.0,
-        );
-        results.push(r);
-    }
-    if results.is_empty() {
-        println!("dse bench: no family selected");
-        return;
-    }
-    write_bench_json(&results, budget_ms);
-}
+use tsn_dse::{parse_batch, run_batch, DseEngine};
 
 fn run_batch_mode(input: Option<&str>, workers: usize) {
     let text = match input {
@@ -247,14 +42,11 @@ fn run_batch_mode(input: Option<&str>, workers: usize) {
 }
 
 fn main() {
-    let mut bench = false;
     let mut workers = 4usize;
     let mut input: Option<String> = None;
-    let mut filters = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--bench" | "--smoke" => bench = true,
             "--workers" => {
                 workers = args
                     .next()
@@ -268,8 +60,7 @@ fn main() {
             "--help" | "-h" => {
                 println!(
                     "usage: dse [REQUEST.json] [--workers N]   answer a JSON batch \
-                     (stdin when no file)\n       dse --bench|--smoke [FILTER...]    \
-                     run the tracked benchmark (TSN_DSE_MS budget)"
+                     (stdin when no file)"
                 );
                 return;
             }
@@ -277,18 +68,8 @@ fn main() {
                 eprintln!("dse: unknown flag {other} (see --help)");
                 std::process::exit(2);
             }
-            other => {
-                if bench {
-                    filters.push(other.to_owned());
-                } else {
-                    input = Some(other.to_owned());
-                }
-            }
+            other => input = Some(other.to_owned()),
         }
     }
-    if bench {
-        run_bench(&filters, workers);
-    } else {
-        run_batch_mode(input.as_deref(), workers);
-    }
+    run_batch_mode(input.as_deref(), workers);
 }

@@ -29,7 +29,8 @@
 //!    fingerprint, so a warm engine answers repeats from cache.
 //!
 //! The `dse` binary wraps this in a strict JSON batch interface (see
-//! [`batch`]) and a tracked benchmark (`BENCH_9.json`). The
+//! [`batch`]); its throughput is measured by the repository benchmark's
+//! `dse_batch` workload (`perfbench/`), which CI gates. The
 //! `dse-optimality` verify oracle adversarially re-checks both
 //! directions of every answer via [`check_optimality`].
 

@@ -5,7 +5,9 @@
 #
 # Everything is offline — no crates are fetched. TSN_SWEEP_WORKERS and
 # TSN_BENCH_MS can be exported beforehand to pin worker counts / bench
-# budgets on constrained machines.
+# budgets on constrained machines. Performance verdicts come from the
+# repository benchmark's records (perfbench/, gated by bench_gate), plus
+# the BENCH_2.json microbench geomean.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -97,95 +99,24 @@ fi
 # workspace test wall.
 run cargo test -q --release -p tsn-sim --test zero_alloc
 
-# Scale smoke: the 10k-flow cases of the scale bench — the plant
-# throughput case (the 100k and opt-in 1M cases stay full-budget-only)
-# plus the reconfigure-vs-rebuild case the same filter now selects. The
-# throughput case asserts byte-identical reports across event-queue
-# backends and a < 1 GiB peak RSS; the reconfig
-# case asserts the reconfigure-path report digests identically to a
-# from-scratch build. The gates below add an absolute throughput floor,
-# a smoke RSS ceiling, the events/sec geomeans vs the pinned baselines
-# in BENCH_7.json / BENCH_10.json (same >= 0.95x rule as BENCH_2), and
-# an incremental-reconfigure speedup floor: >= 2x over from-scratch
-# rebuild at smoke scale (the recorded full-budget 100k case clears
-# >= 5x; 10k rebuilds are small enough that fixed per-instantiation
-# costs compress the ratio). Both tracked full-budget JSON files are
-# restored afterwards.
-tracked_bench7="$(mktemp)"
-tracked_bench10="$(mktemp)"
-cp BENCH_7.json "$tracked_bench7"
-cp BENCH_10.json "$tracked_bench10"
-run cargo bench -q -p tsn-bench --bench scale -- flows/10k
-scale_geomean="$(sed -n 's/.*"events_per_sec_geomean_vs_baseline": \([0-9.]*\).*/\1/p' BENCH_7.json)"
-scale_eps="$(sed -n 's/.*"events_per_sec": \([0-9.]*\).*/\1/p' BENCH_7.json | head -n1)"
-scale_rss="$(sed -n 's/.*"peak_rss_bytes": \([0-9]*\).*/\1/p' BENCH_7.json | head -n1)"
-reconfig_geomean="$(sed -n 's/.*"events_per_sec_geomean_vs_baseline": \([0-9.]*\).*/\1/p' BENCH_10.json)"
-reconfig_speedup="$(sed -n 's/.*"reconfigure_speedup": \([0-9.]*\).*/\1/p' BENCH_10.json | head -n1)"
-cp "$tracked_bench7" BENCH_7.json
-cp "$tracked_bench10" BENCH_10.json
-rm -f "$tracked_bench7" "$tracked_bench10"
-if [ -z "$scale_geomean" ] || [ -z "$scale_eps" ] \
-    || [ -z "$reconfig_geomean" ] || [ -z "$reconfig_speedup" ]; then
-    echo "scale smoke wrote incomplete summary fields" >&2
-    exit 1
-fi
-echo "==> scale smoke: ${scale_eps} events/sec at 10k flows (floor: 300000)"
-if ! awk -v e="$scale_eps" 'BEGIN { exit !(e >= 300000) }'; then
-    echo "scale smoke throughput ${scale_eps} events/sec fell below the 300k floor" >&2
-    exit 1
-fi
-if [ -n "$scale_rss" ]; then
-    echo "==> scale smoke: peak RSS $((scale_rss >> 20))MiB at 10k flows (ceiling: 512MiB)"
-    if [ "$scale_rss" -gt 536870912 ]; then
-        echo "scale smoke peak RSS ${scale_rss} bytes breached the 512 MiB ceiling" >&2
+# Benchmark gate: the repository benchmark (perfbench/, its own package)
+# runs its self-tests, then one traced run of each workload, each of
+# which exits non-zero when one of its output checks fails (lossless
+# plants, reconfigure digests equal to from-scratch builds, byte-stable
+# DSE responses). bench_gate then reads the four records under
+# perfbench/out/ and gates them: the records' own checks, peak RSS, the
+# in-run rebuild-vs-patch ratio, the DSE answer-cache hit ratio, a
+# throughput floor, and rates against references pinned for one host
+# fingerprint (skipped on any other host). Every gate prints its value
+# and threshold.
+run cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+for workload in plant_100k plant_10k_reconfig fig2_mixed dse_batch; do
+    if ! run cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 15 --trace 1; then
+        echo "perfbench $workload failed its output checks" >&2
         exit 1
     fi
-fi
-echo "==> scale smoke geomean ${scale_geomean}x vs pinned events/sec baselines (gate: >= 0.95)"
-if ! awk -v g="$scale_geomean" 'BEGIN { exit !(g >= 0.95) }'; then
-    echo "scale bench geomean ${scale_geomean}x regressed below 0.95x baseline" >&2
-    exit 1
-fi
-echo "==> reconfig smoke: ${reconfig_speedup}x incremental reconfigure vs rebuild at 10k flows (floor: 2)"
-if ! awk -v s="$reconfig_speedup" 'BEGIN { exit !(s >= 2) }'; then
-    echo "incremental reconfigure is only ${reconfig_speedup}x a from-scratch rebuild, below the 2x smoke floor" >&2
-    exit 1
-fi
-echo "==> reconfig smoke geomean ${reconfig_geomean}x vs pinned events/sec baselines (gate: >= 0.95)"
-if ! awk -v g="$reconfig_geomean" 'BEGIN { exit !(g >= 0.95) }'; then
-    echo "reconfigure-path bench geomean ${reconfig_geomean}x regressed below 0.95x baseline" >&2
-    exit 1
-fi
-
-# DSE smoke: the design-space-search service answers its three
-# deterministic 100-query family batches (20 unique queries x 5 labels
-# each) within the TSN_DSE_MS budget, then the gates below check the
-# queries/sec geomean vs the pinned baselines in BENCH_9.json (same
-# >= 0.95x rule as the other benches) and that the intra-batch dedup
-# actually happened (answer-cache hit rate exactly 0.8 by construction).
-# The dse-optimality corpus pin (64 randomized queries re-checked in
-# both optimality directions) already replayed in the verify step above.
-# The tracked full-budget BENCH_9.json is restored afterwards.
-tracked_bench9="$(mktemp)"
-cp BENCH_9.json "$tracked_bench9"
-TSN_DSE_MS="${TSN_DSE_MS:-2000}" run cargo run -q --release -p tsn-dse --bin dse -- --smoke
-dse_geomean="$(sed -n 's/.*"queries_per_sec_geomean_vs_baseline": \([0-9.]*\).*/\1/p' BENCH_9.json)"
-dse_hit_rate="$(sed -n 's/.*"answers_hit_rate": \([0-9.]*\).*/\1/p' BENCH_9.json | head -n1)"
-cp "$tracked_bench9" BENCH_9.json
-rm -f "$tracked_bench9"
-if [ -z "$dse_geomean" ] || [ -z "$dse_hit_rate" ]; then
-    echo "dse smoke wrote incomplete summary fields" >&2
-    exit 1
-fi
-echo "==> dse smoke geomean ${dse_geomean}x vs pinned queries/sec baselines (gate: >= 0.95)"
-if ! awk -v g="$dse_geomean" 'BEGIN { exit !(g >= 0.95) }'; then
-    echo "dse smoke geomean ${dse_geomean}x regressed below 0.95x baseline" >&2
-    exit 1
-fi
-echo "==> dse smoke answer-cache hit rate ${dse_hit_rate} (expected: 0.8)"
-if ! awk -v h="$dse_hit_rate" 'BEGIN { exit !(h >= 0.79 && h <= 0.81) }'; then
-    echo "dse answer-cache hit rate ${dse_hit_rate} is off the designed 0.8 duplication ratio — fingerprint dedup is broken" >&2
-    exit 1
-fi
+done
+run cargo run -q --release -p tsn-experiments --bin bench_gate
 
 echo "CI gate passed."
