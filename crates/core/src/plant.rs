@@ -13,10 +13,11 @@
 //! arithmetically (no RNG, no per-flow routing), injection offsets are
 //! spread uniformly over the CQF slots of one period instead of running
 //! the O(flows × slots) greedy planner, and the switch resources are
-//! sized by a single counting pass over the routed hops (the same
-//! guideline-(1)/(4) derivation the paper does, at plant scale). Route
-//! trees go through [`tsn_topology::RouteTreeCache`], so peak routing
-//! memory stays O(cache × nodes) even with thousands of talkers.
+//! sized by a counting pass over the routed hops (the same
+//! guideline-(1)/(4) derivation the paper does, at plant scale). Each
+//! distinct (talker, listener) pair is routed once
+//! ([`tsn_topology::PathTable`]) and its flow count is added along that
+//! one route, so sizing routes ~1.4k pairs, not 100k flows.
 //!
 //! # Example
 //!
@@ -33,7 +34,7 @@
 use std::collections::BTreeSet;
 use tsn_resource::ResourceConfig;
 use tsn_sim::network::{Network, SimConfig, SyncSetup};
-use tsn_topology::{presets, RouteTreeCache, Topology};
+use tsn_topology::{presets, PathTable, Topology};
 use tsn_types::{FlowId, FlowMap, FlowSet, NodeId, SimDuration, TsFlowSpec, TsnError, TsnResult};
 
 /// TS period shared by every plant flow (the IEC 60802 default).
@@ -127,9 +128,7 @@ pub fn large_plant(flow_count: u32) -> TsnResult<LargePlant> {
     // Cell-major, arithmetic flow generation: flow i lives in cell
     // i / per_cell with local index j = i % per_cell, streams from host
     // j mod 7 to the next host — in the same cell, or (every 16th flow)
-    // in the next cell over the backbone. Cell-major order keeps each
-    // talker's flows clustered, which is what makes the bounded
-    // route-tree cache hit ~always during install.
+    // in the next cell over the backbone.
     let host_of = |cell: usize, h: usize| hosts[cell * hpc + h];
     let mut flows = FlowSet::new();
     let mut offsets = FlowMap::with_capacity(flow_count as usize);
@@ -169,23 +168,46 @@ pub fn large_plant(flow_count: u32) -> TsnResult<LargePlant> {
     })
 }
 
-/// One counting pass over the routed hops: per-switch classification
-/// entries and distinct destinations determine the table sizes exactly,
-/// the way `derive_parameters` sizes them from the flow count on small
-/// scenarios.
+/// Sizes the switch tables from the routed flows: per-switch
+/// classification entries and distinct destinations determine the table
+/// sizes exactly, the way `derive_parameters` sizes them from the flow
+/// count on small scenarios.
 fn size_resources(topology: &Topology, flows: &FlowSet) -> TsnResult<ResourceConfig> {
+    let (class_entries, dsts) = switch_demand(topology, flows)?;
+    resources_for(topology, &class_entries, &dsts)
+}
+
+/// Per node: the classification entries (one per flow crossing it) and
+/// the distinct destinations of the flows crossing it. Each pair's flow
+/// count is added along the pair's single route.
+fn switch_demand(
+    topology: &Topology,
+    flows: &FlowSet,
+) -> TsnResult<(Vec<u32>, Vec<BTreeSet<NodeId>>)> {
+    let paths = PathTable::from_flows(topology, flows)?;
+    let mut flows_per_path = vec![0u32; paths.routes().len()];
+    for &path in paths.flow_paths() {
+        flows_per_path[path as usize] += 1;
+    }
     let node_count = topology.nodes().len();
     let mut class_entries = vec![0u32; node_count];
     let mut dsts: Vec<BTreeSet<NodeId>> = vec![BTreeSet::new(); node_count];
-    let mut cache = RouteTreeCache::new();
-    for flow in flows.iter() {
-        let route = cache.route(topology, flow.src(), flow.dst())?;
+    for (route, &count) in paths.routes().iter().zip(&flows_per_path) {
         for hop in route.switch_hops_iter() {
             let idx = hop.node.as_usize();
-            class_entries[idx] += 1;
-            dsts[idx].insert(flow.dst());
+            class_entries[idx] += count;
+            dsts[idx].insert(route.dst());
         }
     }
+    Ok((class_entries, dsts))
+}
+
+/// The plant configuration for the per-node demand of [`switch_demand`].
+fn resources_for(
+    topology: &Topology,
+    class_entries: &[u32],
+    dsts: &[BTreeSet<NodeId>],
+) -> TsnResult<ResourceConfig> {
     let max_class = class_entries.iter().copied().max().unwrap_or(0);
     let max_dst = dsts.iter().map(BTreeSet::len).max().unwrap_or(0) as u32;
     let max_ports = topology
@@ -210,6 +232,40 @@ fn size_resources(topology: &Topology, flows: &FlowSet) -> TsnResult<ResourceCon
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reference count: route every flow on its own and count it on
+    /// every switch hop.
+    fn per_flow_demand(topology: &Topology, flows: &FlowSet) -> (Vec<u32>, Vec<BTreeSet<NodeId>>) {
+        let node_count = topology.nodes().len();
+        let mut class_entries = vec![0u32; node_count];
+        let mut dsts: Vec<BTreeSet<NodeId>> = vec![BTreeSet::new(); node_count];
+        let mut cache = tsn_topology::RouteTreeCache::new();
+        for flow in flows.iter() {
+            let route = cache
+                .route(topology, flow.src(), flow.dst())
+                .expect("plant flows route");
+            for hop in route.switch_hops_iter() {
+                let idx = hop.node.as_usize();
+                class_entries[idx] += 1;
+                dsts[idx].insert(flow.dst());
+            }
+        }
+        (class_entries, dsts)
+    }
+
+    #[test]
+    fn pair_counting_matches_the_per_flow_count() {
+        let plant = large_plant(10_000).expect("plant builds");
+        let oracle = per_flow_demand(&plant.topology, &plant.flows);
+        assert_eq!(
+            switch_demand(&plant.topology, &plant.flows).expect("routes"),
+            oracle
+        );
+        assert_eq!(
+            plant.config.resources,
+            resources_for(&plant.topology, &oracle.0, &oracle.1).expect("sizes")
+        );
+    }
 
     #[test]
     fn dims_scale_with_the_flow_count() {

@@ -39,8 +39,14 @@ fn u32_field(obj: &Json, at: &str, key: &str) -> Result<u32, String> {
         .map_err(|_| err(at, format!("field {key:?} does not fit in 32 bits")))
 }
 
+/// A whole-microsecond field as a duration; a value whose nanoseconds
+/// overflow `u64` is an error.
 fn micros_field(obj: &Json, at: &str, key: &str) -> Result<SimDuration, String> {
-    Ok(SimDuration::from_micros(u64_field(obj, at, key)?))
+    let micros = u64_field(obj, at, key)?;
+    micros
+        .checked_mul(1_000)
+        .map(SimDuration::from_nanos)
+        .ok_or_else(|| err(at, format!("field {key:?} is {micros} µs, beyond 2^64 ns")))
 }
 
 // Admission limits on the request fields that size a query's network
@@ -59,6 +65,13 @@ pub const MAX_HOSTS: u64 = 256;
 pub const MAX_LINKS: u64 = 4096;
 /// Simulated horizon, microseconds (one second).
 pub const MAX_DURATION_US: u64 = 1_000_000;
+/// Shortest TS period, microseconds: with [`MAX_TS_COUNT`] flows over
+/// [`MAX_DURATION_US`] a query injects at most 4.1 × 10⁷ frames, where a
+/// 1 µs period would ask for 4.1 × 10⁹.
+pub const MIN_PERIOD_US: u64 = 100;
+/// Longest TS period, microseconds (one second, the horizon cap: a
+/// longer period injects each flow once, like this one does).
+pub const MAX_PERIOD_US: u64 = 1_000_000;
 
 /// `value`, or a named error when it is above `limit`.
 fn at_most(value: u64, limit: u64, at: &str, path: &str) -> Result<u64, String> {
@@ -66,6 +79,17 @@ fn at_most(value: u64, limit: u64, at: &str, path: &str) -> Result<u64, String> 
         return Err(err(
             at,
             format!("field {path:?} is {value}, above the limit of {limit}"),
+        ));
+    }
+    Ok(value)
+}
+
+/// `value`, or a named error when it is below `limit`.
+fn at_least(value: u64, limit: u64, at: &str, path: &str) -> Result<u64, String> {
+    if value < limit {
+        return Err(err(
+            at,
+            format!("field {path:?} is {value}, below the limit of {limit}"),
         ));
     }
     Ok(value)
@@ -184,7 +208,11 @@ fn parse_query(value: &Json, index: usize) -> Result<QosQuery, String> {
             "ts_count",
         )? as u32,
         frame_bytes: u32_field(value, &at, "frame_bytes")?,
-        period: micros_field(value, &at, "period_us")?,
+        period: {
+            let micros = u64_field(value, &at, "period_us")?;
+            at_least(micros, MIN_PERIOD_US, &at, "period_us")?;
+            SimDuration::from_micros(at_most(micros, MAX_PERIOD_US, &at, "period_us")?)
+        },
         seed: u64_field(value, &at, "seed")?,
         deadline: micros_field(value, &at, "deadline_us")?,
         jitter,
@@ -212,8 +240,9 @@ fn parse_query(value: &Json, index: usize) -> Result<QosQuery, String> {
 /// Lexical errors from the strict parser (trailing garbage and duplicate
 /// keys included) and structural errors naming the offending query index
 /// and field — unknown fields are rejected, not ignored — including a
-/// field above its admission limit ([`MAX_TS_COUNT`], [`MAX_SWITCHES`],
-/// [`MAX_HOSTS`], [`MAX_LINKS`], [`MAX_DURATION_US`]).
+/// field outside its admission limits ([`MAX_TS_COUNT`], [`MAX_SWITCHES`],
+/// [`MAX_HOSTS`], [`MAX_LINKS`], [`MAX_DURATION_US`], [`MIN_PERIOD_US`],
+/// [`MAX_PERIOD_US`]) and a duration whose nanoseconds overflow `u64`.
 pub fn parse_batch(text: &str) -> Result<Vec<QosQuery>, String> {
     let root = parse(text)?;
     if !matches!(root, Json::Obj(_)) {
@@ -458,6 +487,79 @@ mod tests {
     }
 
     #[test]
+    fn period_below_its_limit_is_refused() {
+        let under = format!("\"period_us\": {}", MIN_PERIOD_US - 1);
+        assert_refused("\"period_us\": 2000", &under, "period_us");
+        assert_refused("\"period_us\": 2000", "\"period_us\": 0", "period_us");
+    }
+
+    #[test]
+    fn period_above_its_limit_is_refused() {
+        let over = format!("\"period_us\": {}", MAX_PERIOD_US + 1);
+        assert_refused("\"period_us\": 2000", &over, "period_us");
+        assert_refused(
+            "\"period_us\": 2000",
+            "\"period_us\": 9007199254740992",
+            "period_us",
+        );
+    }
+
+    #[test]
+    fn durations_beyond_the_nanosecond_range_are_refused() {
+        // The first microsecond count whose nanoseconds overflow a u64.
+        // The JSON layer reads integers exactly only up to 2^53, so it
+        // refuses this one before the conversion; either way the error
+        // names the field.
+        const OVER: u64 = u64::MAX / 1_000 + 1;
+        for (from, to, field) in [
+            (
+                "\"deadline_us\": 4000",
+                format!("\"deadline_us\": {OVER}"),
+                "deadline_us",
+            ),
+            (
+                "\"seed\": 3",
+                format!("\"seed\": 3, \"jitter_us\": {OVER}"),
+                "jitter_us",
+            ),
+        ] {
+            let e = parse_batch(&MINIMAL.replace(from, &to)).expect_err("overflows");
+            assert!(e.contains("queries[0]") && e.contains(field), "{e}");
+        }
+        // The largest integer the JSON layer reads exactly still fits.
+        let fits = MINIMAL.replace("\"deadline_us\": 4000", "\"deadline_us\": 9007199254740992");
+        let queries = parse_batch(&fits).expect("fits in nanoseconds");
+        assert_eq!(queries[0].deadline.as_nanos(), 9_007_199_254_740_992_000);
+    }
+
+    #[test]
+    fn an_out_of_range_frame_size_is_a_structured_answer() {
+        // `TsFlowSpec::new` refuses the size while the query is planned;
+        // the batch answers with that refusal instead of panicking.
+        for bytes in [63, 1523] {
+            let text = MINIMAL.replace("\"frame_bytes\": 64", &format!("\"frame_bytes\": {bytes}"));
+            let response = parse(&run_batch_text(&text, 1).expect("parses")).expect("valid JSON");
+            let Some(Json::Arr(results)) = response.get("results") else {
+                panic!("no results: {response:?}");
+            };
+            let result = &results[0];
+            assert_eq!(
+                result.get("status").and_then(Json::as_str),
+                Some("infeasible")
+            );
+            assert_eq!(result.get("stage").and_then(Json::as_str), Some("plan"));
+            let reason = result
+                .get("reason")
+                .and_then(Json::as_str)
+                .expect("a reason");
+            assert!(
+                reason.contains(&format!("invalid frame size {bytes}B")),
+                "{reason}"
+            );
+        }
+    }
+
+    #[test]
     fn named_switches_above_the_limit_are_refused() {
         let over = NAMED.replace(
             "\"switches\": 3",
@@ -495,6 +597,11 @@ mod tests {
                 "\"duration_us\": 5000",
                 &format!("\"duration_us\": {MAX_DURATION_US}"),
             );
+        for period in [MIN_PERIOD_US, MAX_PERIOD_US] {
+            let text = MINIMAL.replace("\"period_us\": 2000", &format!("\"period_us\": {period}"));
+            let queries = parse_batch(&text).expect("a period at its limit parses");
+            assert_eq!(queries[0].period, SimDuration::from_micros(period));
+        }
         let named = at_limit.replace(
             NAMED,
             &format!(r#"{{"kind": "ring", "switches": {MAX_SWITCHES}, "hosts": {MAX_HOSTS}}}"#),

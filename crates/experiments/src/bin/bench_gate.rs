@@ -73,6 +73,11 @@ const RSS_10K_MIB: f64 = 512.0;
 const RSS_100K_MIB: f64 = 1024.0;
 /// Least speedup of a capacity patch over a from-scratch build.
 const REBUILD_VS_PATCH_FLOOR: f64 = 2.0;
+/// Most time `plant_100k` may spend generating the plant and building
+/// its template, as a share of instantiating it. Both set-up layers
+/// route each (talker, listener) pair once, so they scale with the
+/// ~1.4k pairs while instantiation installs all 100k flows.
+const SETUP_VS_INSTANTIATE_CEILING: f64 = 0.6;
 /// Designed answer-cache hit ratio of `dse_batch`: 20 relabelled
 /// repeats among 80 queries.
 const ANSWERS_HIT_RATIO: f64 = 0.25;
@@ -196,6 +201,15 @@ fn gates(workload: &str, text: &str) -> Result<Vec<Gate>, String> {
                 format!("< {RSS_100K_MIB}"),
                 rss < RSS_100K_MIB,
             ));
+            let setup = metric(&record, "layers", "builder.plan_ms")?.median
+                + metric(&record, "layers", "template.new_ms")?.median;
+            let ratio = setup / metric(&record, "layers", "install.instantiate_ms")?.median;
+            gates.push(Gate::new(
+                "setup_vs_instantiate",
+                format!("{ratio:.2}"),
+                format!("<= {SETUP_VS_INSTANTIATE_CEILING}"),
+                ratio <= SETUP_VS_INSTANTIATE_CEILING,
+            ));
         }
         "plant_10k_reconfig" => {
             let eps = metric(&record, "end_to_end", "events_per_s")?.median;
@@ -316,7 +330,14 @@ mod tests {
                 .2
         };
         match workload {
-            "plant_100k" => (vec![("peak_rss_mib", 88.5)], vec![]),
+            "plant_100k" => (
+                vec![("peak_rss_mib", 77.5)],
+                vec![
+                    ("builder.plan_ms", 11.2),
+                    ("template.new_ms", 8.4),
+                    ("install.instantiate_ms", 81.3),
+                ],
+            ),
             "plant_10k_reconfig" => (
                 vec![
                     ("events_per_s", twice_the_reference("events_per_s")),
@@ -417,6 +438,8 @@ mod tests {
         ] {
             assert_eq!(verdict(&gates, name), Verdict::Pass);
         }
+        let plant = super::gates("plant_100k", &passing("plant_100k")).unwrap();
+        assert_eq!(verdict(&plant, "setup_vs_instantiate"), Verdict::Pass);
     }
 
     #[test]
@@ -474,6 +497,29 @@ mod tests {
         // (5.46 + 7.61) / 6.6 = 1.98.
         let text = set("plant_10k_reconfig", "reconfig.patch_ms", Some(6.6));
         fails_only("plant_10k_reconfig", &text, "rebuild_vs_patch");
+    }
+
+    #[test]
+    fn a_plant_whose_setup_outgrows_its_install_fails() {
+        // (11.2 + 40.0) / 81.3 = 0.63.
+        let text = set("plant_100k", "template.new_ms", Some(40.0));
+        fails_only("plant_100k", &text, "setup_vs_instantiate");
+        // Routing every flow again, as three passes once did:
+        // (43 + 109) / 98 = 1.55.
+        let text = set("plant_100k", "builder.plan_ms", Some(43.0));
+        let text = text
+            .replace(
+                &metric_json("template.new_ms", 8.4),
+                &metric_json("template.new_ms", 109.0),
+            )
+            .replace(
+                &metric_json("install.instantiate_ms", 81.3),
+                &metric_json("install.instantiate_ms", 98.0),
+            );
+        fails_only("plant_100k", &text, "setup_vs_instantiate");
+        let without = set("plant_100k", "install.instantiate_ms", None);
+        let e = gates("plant_100k", &without).expect_err("metric missing");
+        assert!(e.contains("install.instantiate_ms"), "{e}");
     }
 
     #[test]

@@ -21,12 +21,10 @@ use tsn_switch::ingress_filter::{ClassEntry, ClassKey, TokenBucketMeter};
 use tsn_switch::pipeline::{PortKind, SwitchSpec, TsnSwitchCore};
 use tsn_switch::stats::DropReason;
 use tsn_switch::time_sync::{ClockModel, SyncConfig, SyncDomain, SyncFaultProfile};
-use tsn_topology::{
-    EnabledPorts, Link, LinkId, NodeKind, Route, RouteTree, RouteTreeCache, Topology,
-};
+use tsn_topology::{EnabledPorts, Link, LinkId, NodeKind, PathTable, Route, RouteTree, Topology};
 use tsn_types::{
     DataRate, EthernetFrame, FlowId, FlowMap, FlowSet, FlowSpec, MacAddr, MeterId, NodeId, PortId,
-    QueueId, SimDuration, SimTime, TrafficClass, TsnError, TsnResult, VlanId,
+    QueueId, SimDuration, SimTime, TrafficClass, TsnResult, VlanId,
 };
 
 /// How the switches' clocks are synchronized.
@@ -333,12 +331,11 @@ impl GclSchedule {
     }
 }
 
-/// One flow's precomputed forwarding path: the switch hops (with egress
-/// ports) in path order, plus the traversed links for the fault engine's
-/// primary-path bookkeeping.
+/// One routed (talker, listener) pair's forwarding path: the switch hops
+/// (with egress ports) in path order, plus the traversed links for the
+/// fault engine's primary-path bookkeeping.
 #[derive(Debug, Clone)]
-struct FlowProgram {
-    flow: FlowId,
+struct PathProgram {
     /// `(switch, egress port)` per switch hop, in path order.
     hops: Box<[(NodeId, PortId)]>,
     /// Every link the route traverses (host links included).
@@ -352,7 +349,10 @@ struct FlowProgram {
 /// build, so instantiations are byte-identical to it by construction.
 #[derive(Debug, Clone, Default)]
 struct InstallProgram {
-    flows: Vec<FlowProgram>,
+    /// Per flow, in flow-set order: its pair's index into `paths`.
+    flow_paths: Vec<u32>,
+    /// One path per distinct (talker, listener) pair.
+    paths: Vec<PathProgram>,
 }
 
 /// A config delta for [`NetworkTemplate::reconfigure`]: only the named
@@ -414,7 +414,7 @@ struct InstanceSeed {
 /// across instantiations, so evaluating a new [`ResourceConfig`] (or
 /// slot, offsets, table mode) costs one [`NetworkTemplate::reconfigure`]
 /// instead of a full [`Network::build_with_schedule`] — no topology/flow
-/// clones, no per-talker BFS, no port-role derivation, no gPTP warmup.
+/// clones, no routing, no port-role derivation, no gPTP warmup.
 ///
 /// Every instantiation produces a [`Network`] whose run is byte-identical
 /// to a from-scratch build with the same effective config: instantiation
@@ -433,7 +433,8 @@ pub struct NetworkTemplate {
     /// Pre-converged (post-warmup, pre-fault-arming) gPTP domain; cloned
     /// per instantiation. `None` under perfect sync.
     sync_seed: Option<SyncDomain>,
-    /// Route-cache effectiveness while the program was computed.
+    /// How many flows shared an already-routed pair while the program
+    /// was computed.
     route_cache: crate::report::RouteCacheStats,
     /// Lazily-built instantiation image for the capacity-patching fast
     /// path of [`NetworkTemplate::reconfigure`]. `Some(None)` once
@@ -487,7 +488,7 @@ impl NetworkTemplate {
         // ports the TS routes actually use — the same analysis that sized
         // `port_num` during derivation. Other switch-to-switch ports stay
         // ungated (always-open), like un-provisioned ports on the FPGA.
-        let enabled_ports = EnabledPorts::from_flows(&topology, &flows)?;
+        let (program, enabled_ports, route_cache) = compute_program(&topology, &flows)?;
         let switch_count = topology.switches().len();
         let mut port_kinds = Vec::with_capacity(topology.nodes().len());
         for node in topology.nodes() {
@@ -517,8 +518,6 @@ impl NetworkTemplate {
                 NodeKind::Host => port_kinds.push(Vec::new()),
             }
         }
-
-        let (program, route_cache) = compute_program(&topology, &flows)?;
 
         let faults_on = config.faults.enabled();
         let sync_seed = match &config.sync {
@@ -810,70 +809,50 @@ impl NetworkTemplate {
     }
 }
 
-/// Resolves every flow's route once: endpoint validation, one cached BFS
-/// tree per talker, switch hops with their egress ports, and the full
-/// link list for the fault engine. The route-cache capacity scales with
-/// the distinct-talker count so large plants don't thrash the fixed
-/// default.
+/// Resolves every flow's route: each distinct (talker, listener) pair is
+/// validated and routed once ([`PathTable`]), and its switch hops and
+/// links are shared by all of the pair's flows. The TS pairs' routes
+/// give the enabled TSN ports.
 fn compute_program(
     topology: &Topology,
     flows: &FlowSet,
-) -> TsnResult<(InstallProgram, crate::report::RouteCacheStats)> {
-    let mut is_talker = vec![false; topology.nodes().len()];
-    let mut talkers = 0usize;
-    for flow in flows.iter() {
-        let idx = flow.src().as_usize();
-        if idx < is_talker.len() && !is_talker[idx] {
-            is_talker[idx] = true;
-            talkers += 1;
-        }
-    }
-    let mut route_trees = RouteTreeCache::with_capacity(talkers);
-    let mut programs = Vec::with_capacity(flows.len());
-    for flow in flows.iter() {
-        let src = flow.src();
-        let dst = flow.dst();
-        for node in [src, dst] {
-            if !topology
-                .node(node)
-                .map(tsn_topology::Node::is_host)
-                .unwrap_or(false)
-            {
-                return Err(TsnError::invalid_parameter(
-                    "flow",
-                    format!("{} endpoint {node} is not a host", flow.id()),
-                ));
-            }
-        }
-        let route = route_trees.route(topology, src, dst)?;
-        let mut hops = Vec::new();
-        for hop in route.switch_hops_iter() {
-            let egress = hop
-                .egress
-                .ok_or_else(|| TsnError::invalid_parameter("route", "switch hop without egress"))?;
-            hops.push((hop.node, egress));
-        }
-        let links: Box<[LinkId]> = route
-            .hops()
-            .iter()
-            .filter_map(|hop| {
-                let egress = hop.egress?;
-                topology.link_at(hop.node, egress).ok().map(Link::id)
-            })
-            .collect();
-        programs.push(FlowProgram {
-            flow: flow.id(),
-            hops: hops.into_boxed_slice(),
-            links,
-        });
-    }
+) -> TsnResult<(InstallProgram, EnabledPorts, crate::report::RouteCacheStats)> {
+    let table = PathTable::from_flows(topology, flows)?;
+    let enabled_ports = EnabledPorts::from_routes(topology, table.ts_routes());
+    let paths = table
+        .routes()
+        .iter()
+        .map(|route| PathProgram {
+            // Both endpoints are hosts, so every switch hop has an egress.
+            hops: route
+                .switch_hops_iter()
+                .filter_map(|hop| Some((hop.node, hop.egress?)))
+                .collect(),
+            links: route_links(topology, route).into_boxed_slice(),
+        })
+        .collect();
+    let pairs = table.routes().len() as u64;
     let stats = crate::report::RouteCacheStats {
-        hits: route_trees.hits(),
-        misses: route_trees.misses(),
-        evictions: route_trees.evictions(),
-        capacity: route_trees.capacity(),
+        hits: flows.len() as u64 - pairs,
+        misses: pairs,
     };
-    Ok((InstallProgram { flows: programs }, stats))
+    let program = InstallProgram {
+        flow_paths: table.flow_paths().to_vec(),
+        paths,
+    };
+    Ok((program, enabled_ports, stats))
+}
+
+/// The links a route traverses, in path order.
+fn route_links(topology: &Topology, route: &Route) -> Vec<LinkId> {
+    route
+        .hops()
+        .iter()
+        .filter_map(|hop| {
+            let egress = hop.egress?;
+            topology.link_at(hop.node, egress).ok().map(Link::id)
+        })
+        .collect()
 }
 
 /// The VLAN that distinguishes one flow from another on the wire (flows
@@ -959,8 +938,8 @@ impl Network {
         // body can still take `&mut self` (at 512 flows a deep clone
         // dominated build time — the PR-2 bench regression).
         let flows = Arc::clone(&self.flows);
-        for (flow, prog) in flows.iter().zip(program.flows.iter()) {
-            debug_assert_eq!(flow.id(), prog.flow, "program is in flow-set order");
+        for (flow, &path) in flows.iter().zip(&program.flow_paths) {
+            let prog = &program.paths[path as usize];
             let src = flow.src();
             let dst = flow.dst();
             if let Some(engine) = &mut self.fault {
@@ -1083,18 +1062,6 @@ impl Network {
             *slot += 1;
         }
         Ok(())
-    }
-
-    /// The links a route traverses, in path order.
-    fn route_links(&self, route: &Route) -> Vec<LinkId> {
-        route
-            .hops()
-            .iter()
-            .filter_map(|hop| {
-                let egress = hop.egress?;
-                self.topology.link_at(hop.node, egress).ok().map(Link::id)
-            })
-            .collect()
     }
 
     /// Runs the event loop to completion and returns the report.
@@ -1254,7 +1221,7 @@ impl Network {
                 engine.note_unroutable(flow.id());
                 continue;
             };
-            let links = self.route_links(&route);
+            let links = route_links(&self.topology, &route);
             let engine = self.fault.as_mut().expect("caller holds an engine");
             if !engine.set_current(flow.id(), links) {
                 continue; // path unchanged: tables already agree

@@ -32,32 +32,28 @@ pub struct EventStats {
     pub link_transitions: u64,
     /// Most events simultaneously pending in the scheduler.
     pub queue_high_water: usize,
-    /// Route-cache effectiveness during flow installation. Excluded from
-    /// equality and `Debug` (cache sizing must not perturb goldens);
-    /// read the fields directly.
+    /// Route sharing between the flows of one pair during flow
+    /// installation. Excluded from equality and `Debug` (diagnostics must
+    /// not perturb goldens); read the fields directly.
     pub route_cache: RouteCacheStats,
 }
 
-/// How well the per-talker BFS route cache served flow installation:
-/// hits/misses/evictions plus the capacity it ran with (scaled to the
-/// scenario's talker count). Diagnostics only — it compares equal to
-/// everything and renders a constant `Debug` string, so cache-capacity
-/// tuning can never break report byte-identity.
+/// How much flow installation saved by routing each distinct (talker,
+/// listener) pair once ([`tsn_topology::PathTable`]): every flow is
+/// either a hit or a miss, so `hits + misses` is the flow count.
+/// Diagnostics only — it compares equal to everything and renders a
+/// constant `Debug` string, so it can never break report byte-identity.
 #[derive(Clone, Copy, Default)]
 pub struct RouteCacheStats {
-    /// Routes served from a cached talker tree.
+    /// Flows served by a pair that an earlier flow had already routed.
     pub hits: u64,
-    /// Routes that had to run a fresh BFS.
+    /// Pairs routed: each pair's first flow, one BFS each.
     pub misses: u64,
-    /// Whole-cache flushes forced by the capacity bound.
-    pub evictions: u64,
-    /// The capacity the cache ran with.
-    pub capacity: usize,
 }
 
 impl PartialEq for RouteCacheStats {
     /// Always equal: install diagnostics must not break report
-    /// byte-identity across cache-capacity choices.
+    /// byte-identity.
     fn eq(&self, _: &Self) -> bool {
         true
     }

@@ -501,71 +501,20 @@ impl RouteTree {
 /// assert_eq!(route.hops(), topo.route(hosts[0], hosts[1])?.hops());
 /// # Ok::<(), tsn_types::TsnError>(())
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct RouteTreeCache {
     trees: std::collections::BTreeMap<NodeId, RouteTree>,
-    capacity: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-impl Default for RouteTreeCache {
-    fn default() -> Self {
-        RouteTreeCache::new()
-    }
 }
 
 impl RouteTreeCache {
-    /// Default tree bound; one tree is O(nodes), so the default cache
-    /// footprint stays O(CAPACITY × nodes) no matter how many talkers
-    /// stream through it. [`RouteTreeCache::with_capacity`] scales the
-    /// bound to the scenario so large plants don't thrash it.
+    /// Tree bound; one tree is O(nodes), so the cache footprint stays
+    /// O(CAPACITY × nodes) no matter how many talkers stream through it.
     pub const CAPACITY: usize = 64;
 
-    /// An empty cache with the default capacity.
+    /// An empty cache.
     #[must_use]
     pub fn new() -> Self {
-        RouteTreeCache::with_capacity(Self::CAPACITY)
-    }
-
-    /// An empty cache bounded at `capacity` trees (clamped to at least
-    /// [`RouteTreeCache::CAPACITY`]). Size it to the distinct-talker
-    /// count of the scenario: a cache that holds every talker's tree
-    /// never evicts, so installation runs exactly one BFS per talker.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        RouteTreeCache {
-            trees: std::collections::BTreeMap::new(),
-            capacity: capacity.max(Self::CAPACITY),
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    /// The tree bound this cache runs with.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Routes served from a cached tree.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Routes that had to run a fresh BFS.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Whole-cache flushes forced by the capacity bound.
-    #[must_use]
-    pub fn evictions(&self) -> u64 {
-        self.evictions
+        RouteTreeCache::default()
     }
 
     /// The cached tree rooted at `from`, running BFS on a miss.
@@ -575,6 +524,9 @@ impl RouteTreeCache {
     /// [`TsnError::UnknownNode`] if `from` does not exist.
     pub fn tree(&mut self, topology: &Topology, from: NodeId) -> TsnResult<&RouteTree> {
         use std::collections::btree_map::Entry;
+        if !self.trees.contains_key(&from) && self.trees.len() >= Self::CAPACITY {
+            self.trees.clear();
+        }
         match self.trees.entry(from) {
             Entry::Occupied(e) => Ok(e.into_mut()),
             Entry::Vacant(e) => Ok(e.insert(topology.routes_from(from)?)),
@@ -588,15 +540,6 @@ impl RouteTreeCache {
     ///
     /// As [`Topology::route`].
     pub fn route(&mut self, topology: &Topology, from: NodeId, to: NodeId) -> TsnResult<Route> {
-        if self.trees.contains_key(&from) {
-            self.hits += 1;
-        } else {
-            if self.trees.len() >= self.capacity {
-                self.trees.clear();
-                self.evictions += 1;
-            }
-            self.misses += 1;
-        }
         self.tree(topology, from)?.route(topology, to)
     }
 }

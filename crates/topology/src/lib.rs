@@ -13,7 +13,9 @@
 //!
 //! Routing ([`Topology::route`]) is shortest-path BFS that honours link
 //! direction, so the unidirectional ring routes the way the paper's
-//! deterministic ring does. [`analysis`] computes the per-switch *enabled
+//! deterministic ring does. [`PathTable`] routes each distinct
+//! (talker, listener) pair of a flow set once and shares that route with
+//! every flow of the pair. [`analysis`] computes the per-switch *enabled
 //! TSN port* counts that drive the resource customization of Table III.
 //!
 //! # Example
@@ -35,6 +37,7 @@ pub mod analysis;
 pub mod graph;
 pub mod link;
 pub mod node;
+pub mod paths;
 pub mod presets;
 pub mod route;
 
@@ -42,4 +45,5 @@ pub use analysis::EnabledPorts;
 pub use graph::{RouteTree, RouteTreeCache, Topology};
 pub use link::{Link, LinkDirection, LinkEnd, LinkId};
 pub use node::{Node, NodeKind};
+pub use paths::PathTable;
 pub use route::{Route, RouteHop};
