@@ -5,7 +5,7 @@
 //! synchronization precision. Everything else (Table II parameters, GCLs,
 //! injection offsets) is derived.
 
-use tsn_topology::Topology;
+use tsn_topology::{PathTable, Topology};
 use tsn_types::{FlowSet, SimDuration, TsnError, TsnResult};
 
 /// One application scenario.
@@ -42,9 +42,10 @@ impl AppRequirements {
     ///
     /// # Errors
     ///
-    /// * [`TsnError::InvalidParameter`] for endpoint/flow-set problems.
-    /// * [`TsnError::NoRoute`] / [`TsnError::UnknownNode`] for unroutable
-    ///   flows.
+    /// * [`TsnError::InvalidParameter`] for an empty TS flow set, a zero
+    ///   precision, or a flow endpoint that is not a host.
+    /// * [`TsnError::UnknownNode`] for an endpoint that does not exist.
+    /// * [`TsnError::NoRoute`] for an unreachable destination.
     pub fn new(topology: Topology, flows: FlowSet, sync_precision: SimDuration) -> TsnResult<Self> {
         if flows.ts_count() == 0 {
             return Err(TsnError::invalid_parameter(
@@ -58,18 +59,8 @@ impl AppRequirements {
                 "must be non-zero",
             ));
         }
-        for flow in flows.iter() {
-            for node in [flow.src(), flow.dst()] {
-                if !topology.node(node)?.is_host() {
-                    return Err(TsnError::invalid_parameter(
-                        "flows",
-                        format!("{} endpoint {node} is not a host", flow.id()),
-                    ));
-                }
-            }
-            // Routability check; the route itself is recomputed on demand.
-            topology.route(flow.src(), flow.dst())?;
-        }
+        // Validation only: planning re-routes from the stored topology.
+        PathTable::from_flows(&topology, &flows)?;
         Ok(AppRequirements {
             topology,
             flows,
@@ -96,21 +87,6 @@ impl AppRequirements {
         self.sync_precision
     }
 
-    /// The largest switch-hop count over all TS flows.
-    ///
-    /// # Errors
-    ///
-    /// Propagates routing errors (cannot happen after successful
-    /// construction unless the topology was swapped).
-    pub fn max_ts_hops(&self) -> TsnResult<usize> {
-        let mut max = 0;
-        for flow in self.flows.ts_flows() {
-            let route = self.topology.route(flow.src(), flow.dst())?;
-            max = max.max(route.switch_hops());
-        }
-        Ok(max)
-    }
-
     /// Decomposes into its parts.
     #[must_use]
     pub fn into_parts(self) -> (Topology, FlowSet, SimDuration) {
@@ -122,7 +98,7 @@ impl AppRequirements {
 mod tests {
     use super::*;
     use tsn_topology::presets;
-    use tsn_types::{FlowId, TsFlowSpec};
+    use tsn_types::{FlowId, NodeId, TsFlowSpec};
 
     fn a_flow(topo: &Topology, id: u32) -> tsn_types::FlowSpec {
         let hosts = topo.hosts();
@@ -145,7 +121,7 @@ mod tests {
         flows.push(a_flow(&topo, 0));
         let req =
             AppRequirements::new(topo, flows, SimDuration::from_nanos(50)).expect("valid scenario");
-        assert_eq!(req.max_ts_hops().expect("routable"), 2);
+        assert_eq!(req.flows().len(), 1);
     }
 
     #[test]
@@ -155,24 +131,39 @@ mod tests {
     }
 
     #[test]
-    fn rejects_switch_endpoints() {
-        let topo = presets::ring(4, 2).expect("builds");
-        let sw = topo.switches()[0];
-        let host = topo.hosts()[0];
-        let mut flows = FlowSet::new();
-        flows.push(
-            TsFlowSpec::new(
-                FlowId::new(0),
-                host,
-                sw,
-                SimDuration::from_millis(10),
-                SimDuration::from_millis(2),
-                64,
-            )
-            .expect("spec itself is valid")
-            .into(),
-        );
-        assert!(AppRequirements::new(topo, flows, SimDuration::from_nanos(50)).is_err());
+    fn rejects_unroutable_endpoints() {
+        let mut topo = presets::ring(4, 2).expect("builds");
+        let isolated = topo.add_host("isolated");
+        let (sw, host) = (topo.switches()[0], topo.hosts()[0]);
+        let unknown = NodeId::new(999);
+        for (dst, want) in [
+            (sw, "flow0 endpoint"),
+            (unknown, "unknown node"),
+            (isolated, "no route"),
+        ] {
+            let mut flows = FlowSet::new();
+            flows.push(
+                TsFlowSpec::new(
+                    FlowId::new(0),
+                    host,
+                    dst,
+                    SimDuration::from_millis(10),
+                    SimDuration::from_millis(2),
+                    64,
+                )
+                .expect("spec itself is valid")
+                .into(),
+            );
+            let e = AppRequirements::new(topo.clone(), flows, SimDuration::from_nanos(50))
+                .expect_err("unroutable endpoint");
+            let kind_matches = match &e {
+                TsnError::InvalidParameter { name, .. } => dst == sw && name == "flow",
+                TsnError::UnknownNode(n) => *n == unknown,
+                TsnError::NoRoute { to, .. } => *to == isolated,
+                _ => false,
+            };
+            assert!(kind_matches && e.to_string().contains(want), "{e}");
+        }
     }
 
     #[test]

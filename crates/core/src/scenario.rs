@@ -399,7 +399,7 @@ mod tests {
                     .report
             })
             .collect();
-        for workers in [1, 4] {
+        for workers in [1, 2, 4, 8] {
             let swept = run_scenarios(&scenarios, workers);
             assert_eq!(swept.len(), serial.len());
             for (got, want) in swept.into_iter().zip(&serial) {

@@ -9,9 +9,9 @@
 //! the response bytes are identical for any worker count (pinned by
 //! `tests/golden_batch.rs` against `scenarios/dse_batch_expected.json`).
 
-use tsn_experiments::json::{parse, Json};
 use tsn_sim::sweep::run_sweep;
 use tsn_sim::CacheStats;
+use tsn_types::json::{parse, Json};
 use tsn_types::SimDuration;
 
 use crate::query::{QosQuery, TopologySpec};

@@ -23,7 +23,7 @@
 //! [`REFERENCE_HOST`]; elsewhere they print `skipped (host differs)`.
 
 use std::process::ExitCode;
-use tsn_experiments::json::{parse, Json};
+use tsn_types::json::{parse, Json};
 
 /// Schema tag of the records the gate understands.
 const SCHEMA: &str = "perfbench-record/1";
@@ -73,6 +73,9 @@ const RSS_10K_MIB: f64 = 512.0;
 const RSS_100K_MIB: f64 = 1024.0;
 /// Least speedup of a capacity patch over a from-scratch build.
 const REBUILD_VS_PATCH_FLOOR: f64 = 2.0;
+/// Least speedup of the calendar event queue over the `BinaryHeap`
+/// baseline on the plant's slot-burst pattern, both timed in one run.
+const HEAP_VS_CALENDAR_FLOOR: f64 = 1.5;
 /// Most time `plant_100k` may spend generating the plant and building
 /// its template, as a share of instantiating it. Both set-up layers
 /// route each (talker, listener) pair once, so they scale with the
@@ -238,6 +241,13 @@ fn gates(workload: &str, text: &str) -> Result<Vec<Gate>, String> {
                 format!(">= {REBUILD_VS_PATCH_FLOOR}"),
                 ratio >= REBUILD_VS_PATCH_FLOOR,
             ));
+            let ratio = metric(&record, "layers", "event_queue.heap_vs_calendar")?.median;
+            gates.push(Gate::new(
+                "heap_vs_calendar",
+                format!("{ratio:.2}"),
+                format!(">= {HEAP_VS_CALENDAR_FLOOR}"),
+                ratio >= HEAP_VS_CALENDAR_FLOOR,
+            ));
         }
         "dse_batch" => {
             let m = metric(&record, "layers", "dse.answers_hit_ratio")?;
@@ -347,6 +357,7 @@ mod tests {
                     ("template.new_ms", 5.46),
                     ("install.instantiate_ms", 7.61),
                     ("reconfig.patch_ms", 2.94),
+                    ("event_queue.heap_vs_calendar", 4.5),
                 ],
             ),
             "dse_batch" => (
@@ -434,6 +445,7 @@ mod tests {
             "events_per_s",
             "peak_rss_mib",
             "rebuild_vs_patch",
+            "heap_vs_calendar",
             "events_per_s vs reference",
         ] {
             assert_eq!(verdict(&gates, name), Verdict::Pass);
@@ -497,6 +509,19 @@ mod tests {
         // (5.46 + 7.61) / 6.6 = 1.98.
         let text = set("plant_10k_reconfig", "reconfig.patch_ms", Some(6.6));
         fails_only("plant_10k_reconfig", &text, "rebuild_vs_patch");
+    }
+
+    #[test]
+    fn a_calendar_queue_no_faster_than_the_heap_fails() {
+        let text = set(
+            "plant_10k_reconfig",
+            "event_queue.heap_vs_calendar",
+            Some(1.49),
+        );
+        fails_only("plant_10k_reconfig", &text, "heap_vs_calendar");
+        let without = set("plant_10k_reconfig", "event_queue.heap_vs_calendar", None);
+        let e = gates("plant_10k_reconfig", &without).expect_err("metric missing");
+        assert!(e.contains("event_queue.heap_vs_calendar"), "{e}");
     }
 
     #[test]

@@ -17,11 +17,11 @@
 use std::fmt::Write as _;
 use std::path::Path;
 use tsn_builder::{workloads, DeriveOptions, GateMode, TsnBuilder};
-use tsn_experiments::json::{self, Json};
 use tsn_resource::AllocationPolicy;
 use tsn_sim::network::SyncSetup;
 use tsn_sim::sweep::{run_sweep, workers_from_env};
 use tsn_topology::presets;
+use tsn_types::json::{self, Json};
 use tsn_types::{DataRate, SimDuration, TsnError};
 
 #[derive(Debug)]

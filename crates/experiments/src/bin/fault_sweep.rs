@@ -15,13 +15,13 @@
 //! for CI, keeping all intensity levels and the monotonicity check.
 
 use tsn_builder::{Scenario, SweepPlanner};
-use tsn_experiments::json::{Json, ToJson};
 use tsn_experiments::util::{dump_json, expect_outcomes};
 use tsn_sim::network::{SimConfig, SyncSetup};
 use tsn_sim::sweep::workers_from_env;
 use tsn_sim::{FaultConfig, LinkFaultProfile, LinkFlap, LinkOutage};
 use tsn_switch::time_sync::SyncConfig;
 use tsn_topology::{LinkId, Topology};
+use tsn_types::json::{Json, ToJson};
 use tsn_types::{
     BeFlowSpec, DataRate, FlowId, FlowSet, RcFlowSpec, SimDuration, SimTime, TsFlowSpec,
 };

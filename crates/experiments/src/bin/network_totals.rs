@@ -13,11 +13,11 @@
 //! The three scenarios derive in parallel through the sweep runner.
 
 use tsn_builder::{workloads, AppRequirements, DeriveOptions, PerSwitchConfig};
-use tsn_experiments::json::{Json, ToJson};
 use tsn_experiments::util::dump_json;
 use tsn_resource::{baseline, AllocationPolicy};
 use tsn_sim::sweep::{run_sweep, workers_from_env};
 use tsn_topology::presets;
+use tsn_types::json::{Json, ToJson};
 use tsn_types::SimDuration;
 
 struct NetworkRow {

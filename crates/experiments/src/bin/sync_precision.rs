@@ -6,10 +6,10 @@
 //! four (interval, noise) configurations run in parallel through the
 //! sweep runner.
 
-use tsn_experiments::json::{Json, ToJson};
 use tsn_experiments::util::dump_json;
 use tsn_sim::sweep::{run_sweep, workers_from_env};
 use tsn_switch::time_sync::{ClockModel, SyncConfig, SyncDomain};
+use tsn_types::json::{Json, ToJson};
 use tsn_types::{SimDuration, SimTime};
 
 struct SyncResult {

@@ -19,5 +19,9 @@
 //! [`tsn_builder::scenario`]; set `TSN_SWEEP_WORKERS=1` to force a serial
 //! run (the reports are identical either way).
 
-pub mod json;
+/// The workspace's JSON layer, which lives in [`tsn_types::json`]. This
+/// re-export stays because the repository benchmark (`perfbench/`)
+/// imports `tsn_experiments::json` and is not changed alongside the
+/// workspace.
+pub use tsn_types::json;
 pub mod util;

@@ -1,12 +1,12 @@
 //! Shared plumbing for the experiment regenerators.
 
-use crate::json::{Json, ToJson};
 use std::path::PathBuf;
 use tsn_builder::ScenarioOutcome;
 use tsn_sim::network::{Network, SimConfig, SyncSetup};
 use tsn_sim::sweep::SweepError;
 use tsn_sim::SimReport;
 use tsn_topology::{LinkDirection, Topology};
+use tsn_types::json::{Json, ToJson};
 use tsn_types::{DataRate, FlowMap, FlowSet, NodeId, SimDuration, TrafficClass, TsnResult};
 
 /// One measured point of a latency figure.

@@ -6,7 +6,7 @@
 //! `customize --sample` writes, and unknown options must be usage
 //! errors rather than scenario paths.
 
-use tsn_experiments::json::{parse, Json};
+use tsn_types::json::{parse, Json};
 
 fn committed_scenarios() -> Vec<(String, String)> {
     let dir = format!("{}/../../scenarios", env!("CARGO_MANIFEST_DIR"));

@@ -1,10 +1,11 @@
-//! Minimal JSON support for the experiment regenerators: a value tree,
-//! a pretty printer for `results/<name>.json`, and a small strict parser
-//! for the `customize` scenario files.
+//! Minimal JSON support: a value tree, a pretty printer for the
+//! experiments' `results/<name>.json`, and a small strict parser for the
+//! untrusted inputs (`customize` scenario files, DSE batches) and the
+//! benchmark records.
 //!
 //! Local on purpose — the workspace builds offline, so the usual
-//! serde/serde_json stack is not available. Only what the experiments
-//! need is implemented: objects keep insertion order, numbers are `f64`
+//! serde/serde_json stack is not available. Only what the workspace
+//! needs is implemented: objects keep insertion order, numbers are `f64`
 //! (integers up to 2^53 round-trip exactly), and the parser rejects
 //! anything outside the JSON grammar instead of guessing.
 
@@ -170,8 +171,8 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Conversion into a [`Json`] tree; what [`crate::util::dump_json`]
-/// accepts.
+/// Conversion into a [`Json`] tree; what the experiments'
+/// `tsn_experiments::util::dump_json` accepts.
 pub trait ToJson {
     /// The JSON representation of `self`.
     fn to_json(&self) -> Json;

@@ -20,6 +20,8 @@
 //! * [`flowmap`] — a dense [`FlowId`]-indexed map ([`FlowMap`]) for the
 //!   simulator's per-frame hot paths at 100k–1M-flow scale.
 //! * [`error`] — the shared [`TsnError`] type.
+//! * [`json`] — a minimal JSON value tree, printer and strict parser
+//!   (the workspace builds offline, without serde).
 //!
 //! # Example
 //!
@@ -42,6 +44,7 @@ pub mod flow;
 pub mod flowmap;
 pub mod frame;
 pub mod ids;
+pub mod json;
 pub mod mac;
 pub mod rng;
 pub mod time;

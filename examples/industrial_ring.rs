@@ -11,7 +11,7 @@
 //! cargo run --release --example industrial_ring
 //! ```
 
-use tsn_builder::{latency_bounds, workloads, DeriveOptions, TsnBuilder};
+use tsn_builder::{workloads, DeriveOptions, TsnBuilder};
 use tsn_sim::network::SyncSetup;
 use tsn_topology::presets;
 use tsn_types::{DataRate, SimDuration, TrafficClass, TsnError};
@@ -48,8 +48,8 @@ fn main() -> Result<(), TsnError> {
     // The paper's QoS claims, checked programmatically.
     assert_eq!(report.ts_lost(), 0, "packet loss in all experiments is 0");
     assert_eq!(report.ts_deadline_misses(), 0, "every deadline met");
-    let worst_hops = customization.requirements().max_ts_hops()? as u64;
-    let (_, l_max) = latency_bounds(worst_hops, derived.cqf.slot);
+    // Eq. (1)'s L_max over the longest TS route.
+    let l_max = derived.cqf.worst_latency;
     let measured_max = report.ts_latency().max().expect("TS frames were delivered");
     assert!(
         measured_max <= l_max,
