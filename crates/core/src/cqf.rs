@@ -66,8 +66,8 @@ impl CqfPlan {
     ///
     /// # Errors
     ///
-    /// [`TsnError::ScheduleInfeasible`] naming the violated constraint,
-    /// or routing errors while measuring hop counts.
+    /// [`TsnError::InvalidParameter`] for a zero slot;
+    /// [`TsnError::ScheduleInfeasible`] naming the violated constraint.
     pub fn with_slot(
         requirements: &AppRequirements,
         slot: SimDuration,
@@ -84,8 +84,7 @@ impl CqfPlan {
             )));
         }
         let mut worst = SimDuration::ZERO;
-        for flow in requirements.flows().ts_flows() {
-            let route = requirements.topology().route(flow.src(), flow.dst())?;
+        for (flow, route) in requirements.ts_flow_routes() {
             let (_, l_max) = latency_bounds(route.switch_hops() as u64, slot);
             if l_max > flow.deadline() {
                 return Err(TsnError::ScheduleInfeasible(format!(
@@ -125,8 +124,7 @@ impl CqfPlan {
     /// slot (one max-frame serialization time) misses a deadline.
     pub fn choose_slot(requirements: &AppRequirements, link_rate: DataRate) -> TsnResult<Self> {
         let mut tightest = SimDuration::from_secs(3600);
-        for flow in requirements.flows().ts_flows() {
-            let route = requirements.topology().route(flow.src(), flow.dst())?;
+        for (flow, route) in requirements.ts_flow_routes() {
             let hop = route.switch_hops() as u64 + 1;
             tightest = tightest.min(flow.deadline() / hop);
         }

@@ -120,8 +120,7 @@ pub struct DerivedConfig {
 ///
 /// # Errors
 ///
-/// Propagates CQF infeasibility, routing failures and parameter
-/// validation errors.
+/// Propagates CQF infeasibility and parameter validation errors.
 ///
 /// # Example
 ///
@@ -169,7 +168,7 @@ pub fn derive_parameters(
 ///
 /// # Errors
 ///
-/// Propagates routing failures and parameter validation errors.
+/// Propagates parameter validation errors and TAS synthesis errors.
 pub fn derive_with_plans(
     requirements: &AppRequirements,
     options: &DeriveOptions,
@@ -182,7 +181,8 @@ pub fn derive_with_plans(
         .max(1);
 
     // Guideline (5): enabled ports from the TS routes.
-    let enabled_ports = EnabledPorts::from_flows(requirements.topology(), requirements.flows())?;
+    let enabled_ports =
+        EnabledPorts::from_routes(requirements.topology(), requirements.paths().ts_routes());
     let port_num = (enabled_ports.max_per_switch() as u32).max(1);
 
     // Guideline (1): shared tables sized by the flow count — or, with

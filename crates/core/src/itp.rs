@@ -60,9 +60,13 @@ impl ItpResult {
 /// the clamp. The greedy scan reads O(flows × phases × hops × repeats)
 /// counters at worst, and stops early on a phase that cannot win.
 ///
+/// Each flow's route comes from [`AppRequirements::paths`].
+///
 /// # Errors
 ///
-/// Propagates routing errors.
+/// None today: the routes were computed, and could only fail, in
+/// [`AppRequirements::new`]. The `Result` keeps the signature of the
+/// other planning steps.
 ///
 /// # Example
 ///
@@ -127,14 +131,10 @@ pub fn plan(
     let mut cells: Vec<(usize, u64)> = Vec::new();
 
     // Deterministic order: flows sorted by id.
-    let mut ts: Vec<_> = requirements.flows().ts_flows().collect();
-    ts.sort_by_key(|f| f.id());
+    let mut ts: Vec<_> = requirements.ts_flow_routes().collect();
+    ts.sort_by_key(|(f, _)| f.id());
 
-    // One BFS per distinct talker, shared across its flows — at 100k+
-    // flows the per-flow BFS was the planner's real quadratic cost.
-    let mut route_trees = tsn_topology::RouteTreeCache::new();
-    for flow in ts {
-        let route = route_trees.route(requirements.topology(), flow.src(), flow.dst())?;
+    for (flow, route) in ts {
         cells.clear();
         for (k, hop) in route.switch_hops_iter().enumerate() {
             let Some(egress) = hop.egress else { continue };

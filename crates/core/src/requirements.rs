@@ -3,10 +3,11 @@
 //! Section II.A: "the features in TSN-related domains are pre-determined
 //! and simple" — a scenario is its topology, its flow set and the required
 //! synchronization precision. Everything else (Table II parameters, GCLs,
-//! injection offsets) is derived.
+//! injection offsets) is derived — from the flows' routes, which a
+//! requirement set computes once and holds ([`AppRequirements::paths`]).
 
-use tsn_topology::{PathTable, Topology};
-use tsn_types::{FlowSet, SimDuration, TsnError, TsnResult};
+use tsn_topology::{PathTable, Route, Topology};
+use tsn_types::{FlowSet, SimDuration, TsFlowSpec, TsnError, TsnResult};
 
 /// One application scenario.
 ///
@@ -33,12 +34,15 @@ pub struct AppRequirements {
     topology: Topology,
     flows: FlowSet,
     sync_precision: SimDuration,
+    paths: PathTable,
 }
 
 impl AppRequirements {
     /// Creates and validates a requirement set: every flow must run
     /// host-to-host over an existing route, and at least one TS flow must
-    /// exist (otherwise there is nothing to customize for).
+    /// exist (otherwise there is nothing to customize for). The routes
+    /// are kept for planning; this is the only place a requirement set
+    /// is routed.
     ///
     /// # Errors
     ///
@@ -59,12 +63,12 @@ impl AppRequirements {
                 "must be non-zero",
             ));
         }
-        // Validation only: planning re-routes from the stored topology.
-        PathTable::from_flows(&topology, &flows)?;
+        let paths = PathTable::from_flows(&topology, &flows)?;
         Ok(AppRequirements {
             topology,
             flows,
             sync_precision,
+            paths,
         })
     }
 
@@ -87,10 +91,21 @@ impl AppRequirements {
         self.sync_precision
     }
 
-    /// Decomposes into its parts.
+    /// The flows' routes, one per distinct (talker, listener) pair:
+    /// [`PathTable::flow_routes`] pairs them with [`Self::flows`] in
+    /// flow-set order, and [`PathTable::ts_routes`] gives the routes TS
+    /// flows take. Every route is the one [`Topology::route`] returns.
     #[must_use]
-    pub fn into_parts(self) -> (Topology, FlowSet, SimDuration) {
-        (self.topology, self.flows, self.sync_precision)
+    pub fn paths(&self) -> &PathTable {
+        &self.paths
+    }
+
+    /// Each TS flow with its route, in flow-set order.
+    pub(crate) fn ts_flow_routes(&self) -> impl Iterator<Item = (&TsFlowSpec, &Route)> {
+        self.flows
+            .iter()
+            .zip(self.paths.flow_routes())
+            .filter_map(|(flow, route)| Some((flow.as_ts()?, route)))
     }
 }
 
@@ -98,7 +113,7 @@ impl AppRequirements {
 mod tests {
     use super::*;
     use tsn_topology::presets;
-    use tsn_types::{FlowId, NodeId, TsFlowSpec};
+    use tsn_types::{BeFlowSpec, DataRate, FlowId, NodeId, RcFlowSpec, TsFlowSpec};
 
     fn a_flow(topo: &Topology, id: u32) -> tsn_types::FlowSpec {
         let hosts = topo.hosts();
@@ -125,11 +140,73 @@ mod tests {
     }
 
     #[test]
+    fn every_flow_reads_the_route_of_its_endpoints() {
+        let topologies = [
+            ("ring", presets::ring(6, 3).expect("builds")),
+            ("linear", presets::linear(6, 4).expect("builds")),
+            ("star", presets::star(3, 3).expect("builds")),
+            ("multi_ring", presets::multi_ring(3, 4, 3).expect("builds")),
+        ];
+        for (name, topo) in topologies {
+            // Every ordered host pair twice, in a different class each
+            // time, so pairs repeat across TS, RC and BE flows.
+            let hosts = topo.hosts();
+            let pairs: Vec<_> = hosts
+                .iter()
+                .flat_map(|&a| hosts.iter().filter(move |&&b| b != a).map(move |&b| (a, b)))
+                .collect();
+            let mut flows = FlowSet::new();
+            let mut id = 0;
+            for round in 0..2 {
+                for (k, &(a, b)) in pairs.iter().enumerate() {
+                    let fid = FlowId::new(id);
+                    flows.push(match (k + round) % 3 {
+                        0 => TsFlowSpec::new(
+                            fid,
+                            a,
+                            b,
+                            SimDuration::from_millis(10),
+                            SimDuration::from_millis(8),
+                            64,
+                        )
+                        .expect("valid flow")
+                        .into(),
+                        1 => RcFlowSpec::new(fid, a, b, DataRate::mbps(10), 256)
+                            .expect("valid flow")
+                            .into(),
+                        _ => BeFlowSpec::new(fid, a, b, DataRate::mbps(10), 1500)
+                            .expect("valid flow")
+                            .into(),
+                    });
+                    id += 1;
+                }
+            }
+            let req = AppRequirements::new(topo, flows, SimDuration::from_nanos(50))
+                .expect("valid scenario");
+            let topo = req.topology();
+            let routes: Vec<_> = req.paths().flow_routes().collect();
+            assert_eq!(routes.len(), req.flows().len(), "{name}");
+            for (flow, route) in req.flows().iter().zip(routes) {
+                let direct = topo.route(flow.src(), flow.dst()).expect("routes");
+                assert_eq!(route, &direct, "{name}: {}", flow.id());
+            }
+            let ts: Vec<_> = req.ts_flow_routes().collect();
+            assert_eq!(ts.len(), req.flows().ts_count(), "{name}");
+            for ((flow, route), want) in ts.into_iter().zip(req.flows().ts_flows()) {
+                assert_eq!(flow.id(), want.id(), "{name}: TS flows in flow-set order");
+                assert_eq!(route, &topo.route(flow.src(), flow.dst()).expect("routes"));
+            }
+        }
+    }
+
+    #[test]
     fn rejects_scenarios_without_ts_flows() {
         let topo = presets::ring(4, 2).expect("builds");
         assert!(AppRequirements::new(topo, FlowSet::new(), SimDuration::from_nanos(50)).is_err());
     }
 
+    /// Routing fails here or nowhere: the planners read the stored
+    /// routes and carry no routing errors.
     #[test]
     fn rejects_unroutable_endpoints() {
         let mut topo = presets::ring(4, 2).expect("builds");

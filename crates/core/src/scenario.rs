@@ -127,20 +127,6 @@ impl Scenario {
         }
     }
 
-    /// Overrides the injection-offset strategy.
-    #[must_use]
-    pub fn with_strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Overrides the required synchronization precision.
-    #[must_use]
-    pub fn with_sync_precision(mut self, precision: SimDuration) -> Self {
-        self.sync_precision = precision;
-        self
-    }
-
     /// Arms fault injection ([`tsn_sim::FaultConfig`]) for this scenario.
     /// The default is [`tsn_sim::FaultConfig::none()`], which leaves the
     /// simulation bit-for-bit identical to a build without the fault

@@ -53,8 +53,9 @@ impl TasSchedule {
     ///
     /// # Errors
     ///
-    /// Propagates routing errors; [`TsnError::ScheduleInfeasible`] if the
-    /// scenario has no TS flows to schedule.
+    /// [`TsnError::ScheduleInfeasible`] if the scenario has no TS flows
+    /// to schedule or its hyperperiod exceeds 2^20 slots; gate-list
+    /// validation errors.
     pub fn synthesize(
         requirements: &AppRequirements,
         plan: &CqfPlan,
@@ -104,8 +105,7 @@ impl TasSchedule {
         let mut in_entries: HashMap<(NodeId, PortId), Vec<GateEntry>> = HashMap::new();
         let mut out_entries: HashMap<(NodeId, PortId), Vec<GateEntry>> = HashMap::new();
 
-        for flow in requirements.flows().ts_flows() {
-            let route = requirements.topology().route(flow.src(), flow.dst())?;
+        for (flow, route) in requirements.ts_flow_routes() {
             let offset = itp
                 .offsets
                 .get(flow.id())

@@ -49,12 +49,16 @@ fn micros_field(obj: &Json, at: &str, key: &str) -> Result<SimDuration, String> 
         .ok_or_else(|| err(at, format!("field {key:?} is {micros} µs, beyond 2^64 ns")))
 }
 
-// Admission limits on the request fields that size a query's network
-// and its simulation. Each sits far above every shipped batch (at most
-// 6 switches and 32 TS flows on a few-millisecond horizon) and the
-// verify generator's 6-switch, 24-flow cases; a value above one is
-// rejected at parse time, before anything it sizes is allocated.
+// Admission limits on the request fields that size a batch, a query's
+// network and its simulation. Each sits far above every shipped batch
+// (at most 6 switches and 32 TS flows on a few-millisecond horizon; the
+// benchmark's batch holds ~80 queries) and the verify generator's
+// 6-switch, 24-flow cases; a value above one is rejected at parse time,
+// before anything it sizes is allocated.
 
+/// Queries per batch: with the per-query limits below, this bounds the
+/// total work of one request, not just of each query.
+pub const MAX_QUERIES: u64 = 4096;
 /// TS flows per query.
 pub const MAX_TS_COUNT: u64 = 4096;
 /// Switches of a named preset or an inline topology.
@@ -240,9 +244,10 @@ fn parse_query(value: &Json, index: usize) -> Result<QosQuery, String> {
 /// Lexical errors from the strict parser (trailing garbage and duplicate
 /// keys included) and structural errors naming the offending query index
 /// and field — unknown fields are rejected, not ignored — including a
-/// field outside its admission limits ([`MAX_TS_COUNT`], [`MAX_SWITCHES`],
-/// [`MAX_HOSTS`], [`MAX_LINKS`], [`MAX_DURATION_US`], [`MIN_PERIOD_US`],
-/// [`MAX_PERIOD_US`]) and a duration whose nanoseconds overflow `u64`.
+/// field outside its admission limits ([`MAX_QUERIES`], [`MAX_TS_COUNT`],
+/// [`MAX_SWITCHES`], [`MAX_HOSTS`], [`MAX_LINKS`], [`MAX_DURATION_US`],
+/// [`MIN_PERIOD_US`], [`MAX_PERIOD_US`]) and a duration whose nanoseconds
+/// overflow `u64`.
 pub fn parse_batch(text: &str) -> Result<Vec<QosQuery>, String> {
     let root = parse(text)?;
     if !matches!(root, Json::Obj(_)) {
@@ -252,6 +257,7 @@ pub fn parse_batch(text: &str) -> Result<Vec<QosQuery>, String> {
     let Some(Json::Arr(raw)) = root.get("queries") else {
         return Err(err("request", "field \"queries\" must be an array"));
     };
+    at_most(raw.len() as u64, MAX_QUERIES, "request", "queries")?;
     raw.iter()
         .enumerate()
         .map(|(index, value)| parse_query(value, index))
@@ -472,6 +478,24 @@ mod tests {
         );
     }
 
+    /// A batch of `count` copies of `MINIMAL`'s query.
+    fn batch_of(count: u64) -> String {
+        let start = MINIMAL.find("[").expect("queries array") + 1;
+        let end = MINIMAL.rfind("]").expect("queries array");
+        let query = MINIMAL[start..end].trim();
+        let queries = vec![query; count as usize].join(",");
+        format!(r#"{{"queries": [{queries}]}}"#)
+    }
+
+    #[test]
+    fn query_count_above_its_limit_is_refused() {
+        let e = parse_batch(&batch_of(MAX_QUERIES + 1)).expect_err("above the limit");
+        assert!(
+            e.contains("request") && e.contains("\"queries\"") && e.contains("limit"),
+            "{e}"
+        );
+    }
+
     #[test]
     fn ts_count_above_its_limit_is_refused() {
         let over = format!("\"ts_count\": {}", MAX_TS_COUNT + 1);
@@ -597,6 +621,8 @@ mod tests {
                 "\"duration_us\": 5000",
                 &format!("\"duration_us\": {MAX_DURATION_US}"),
             );
+        let queries = parse_batch(&batch_of(MAX_QUERIES)).expect("a full batch parses");
+        assert_eq!(queries.len() as u64, MAX_QUERIES);
         for period in [MIN_PERIOD_US, MAX_PERIOD_US] {
             let text = MINIMAL.replace("\"period_us\": 2000", &format!("\"period_us\": {period}"));
             let queries = parse_batch(&text).expect("a period at its limit parses");

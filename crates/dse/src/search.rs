@@ -10,9 +10,10 @@
 //!   is ever simulated.
 //! * **Exact table floors** per candidate — the simulator installs one
 //!   unicast entry per distinct `(dst MAC, VLAN)` key and one
-//!   classification entry per distinct stream key *per switch*, computed
-//!   here with the same routing the network build uses, so a table below
-//!   its floor makes `Network::build` error deterministically.
+//!   classification entry per distinct stream key *per switch*, counted
+//!   here over the routes the query's requirements hold (the network
+//!   build's own shortest paths), so a table below its floor makes
+//!   `Network::build` error deterministically.
 //!
 //! The ITP peak occupancy, by contrast, is a *planned* model with ±1 slot
 //! of arrival skew ([`ItpResult::recommended_queue_depth`] documents the
@@ -185,7 +186,7 @@ impl PlannedQuery {
         options.slot = Some(cqf.slot);
         let derived = derive_with_plans(&requirements, &options, cqf.clone(), itp.clone())?;
 
-        let (unicast_floor, class_floor) = table_floors(&requirements)?;
+        let (unicast_floor, class_floor) = table_floors(&requirements);
 
         // The candidate-invariant simulation setup, built once: every
         // `simulate` call swaps in only its ResourceConfig via
@@ -253,19 +254,17 @@ impl PlannedQuery {
 /// Computes the exact per-switch install counts `Network::build` will
 /// attempt: distinct `(dst MAC, VLAN)` unicast keys and distinct
 /// `(src, dst, VLAN, PCP)` classification keys, maxed over switches.
-/// Uses the same shortest-path routing as the build, so the counts are
-/// exact, not estimates.
-fn table_floors(requirements: &AppRequirements) -> TsnResult<(u32, u32)> {
+/// Reads the routes the requirements hold, which are the build's own
+/// shortest paths, so the counts are exact, not estimates.
+fn table_floors(requirements: &AppRequirements) -> (u32, u32) {
     use std::collections::{BTreeMap, BTreeSet};
-    let topology = requirements.topology();
     let mut unicast: BTreeMap<
         tsn_types::NodeId,
         BTreeSet<(tsn_types::MacAddr, tsn_types::VlanId)>,
     > = BTreeMap::new();
     let mut class: BTreeMap<tsn_types::NodeId, u32> = BTreeMap::new();
-    let mut route_trees = tsn_topology::RouteTreeCache::new();
-    for flow in requirements.flows().iter() {
-        let route = route_trees.route(topology, flow.src(), flow.dst())?;
+    let flows = requirements.flows().iter();
+    for (flow, route) in flows.zip(requirements.paths().flow_routes()) {
         let vlan = vlan_for(flow.id());
         let dst_mac = mac_for(flow.dst());
         let is_be = matches!(flow, tsn_types::FlowSpec::Be(_));
@@ -284,7 +283,7 @@ fn table_floors(requirements: &AppRequirements) -> TsnResult<(u32, u32)> {
         .max()
         .unwrap_or(0);
     let class_floor = class.values().copied().max().unwrap_or(0);
-    Ok((unicast_floor, class_floor))
+    (unicast_floor, class_floor)
 }
 
 /// What one candidate evaluation concluded.

@@ -10,15 +10,16 @@
 use crate::graph::Topology;
 use crate::route::Route;
 use std::collections::{BTreeMap, BTreeSet};
-use tsn_types::{FlowSet, NodeId, PortId, TsnResult};
+use tsn_types::{NodeId, PortId};
 
 /// Per-switch sets of egress ports that carry TS traffic towards other
-/// switches.
+/// switches, read from the routes TS flows take
+/// ([`crate::PathTable::ts_routes`]).
 ///
 /// # Example
 ///
 /// ```
-/// use tsn_topology::{presets, EnabledPorts};
+/// use tsn_topology::{presets, EnabledPorts, PathTable};
 /// use tsn_types::{FlowSet, TsFlowSpec, FlowId, SimDuration};
 ///
 /// let topo = presets::ring(6, 3)?;
@@ -28,7 +29,8 @@ use tsn_types::{FlowSet, NodeId, PortId, TsnResult};
 ///     FlowId::new(0), hosts[0], hosts[1],
 ///     SimDuration::from_millis(10), SimDuration::from_millis(2), 64,
 /// )?.into());
-/// let enabled = EnabledPorts::from_flows(&topo, &flows)?;
+/// let paths = PathTable::from_flows(&topo, &flows)?;
+/// let enabled = EnabledPorts::from_routes(&topo, paths.ts_routes());
 /// assert_eq!(enabled.max_per_switch(), 1); // the paper's ring column
 /// # Ok::<(), tsn_types::TsnError>(())
 /// ```
@@ -38,26 +40,7 @@ pub struct EnabledPorts {
 }
 
 impl EnabledPorts {
-    /// Analyses the routes of all TS flows in `flows` over `topology`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates routing errors ([`tsn_types::TsnError::NoRoute`],
-    /// [`tsn_types::TsnError::UnknownNode`]) for any flow.
-    pub fn from_flows(topology: &Topology, flows: &FlowSet) -> TsnResult<Self> {
-        let mut result = EnabledPorts::default();
-        // One BFS per distinct talker, shared across that talker's flows —
-        // tree extraction yields exactly the per-flow `route()` result.
-        let mut trees = crate::graph::RouteTreeCache::new();
-        for flow in flows.ts_flows() {
-            let route = trees.route(topology, flow.src(), flow.dst())?;
-            result.absorb_route(topology, &route);
-        }
-        Ok(result)
-    }
-
-    /// Analyses a set of precomputed routes (useful when the caller already
-    /// routed the flows).
+    /// Analyses the routes TS traffic takes over `topology`.
     pub fn from_routes<'a>(
         topology: &Topology,
         routes: impl IntoIterator<Item = &'a Route>,
@@ -129,10 +112,34 @@ impl EnabledPorts {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::presets;
-    use tsn_types::{FlowId, SimDuration, TsFlowSpec};
+    use crate::{presets, PathTable, RouteTreeCache};
+    use tsn_types::{FlowId, FlowSet, SimDuration, TsFlowSpec};
+
+    /// The per-flow analysis: one route per TS flow, from a cache of
+    /// per-talker route trees. Kept as the reference the pair-routed
+    /// [`PathTable::ts_routes`] input must reproduce.
+    pub(crate) fn per_flow_reference(topology: &Topology, flows: &FlowSet) -> EnabledPorts {
+        let mut result = EnabledPorts::default();
+        let mut trees = RouteTreeCache::new();
+        for flow in flows.ts_flows() {
+            let route = trees
+                .route(topology, flow.src(), flow.dst())
+                .expect("routes");
+            result.absorb_route(topology, &route);
+        }
+        result
+    }
+
+    /// The enabled ports of `flows`' TS routes, read from a
+    /// [`PathTable`] and checked against the per-flow reference.
+    fn enabled(topology: &Topology, flows: &FlowSet) -> EnabledPorts {
+        let paths = PathTable::from_flows(topology, flows).expect("routes");
+        let enabled = EnabledPorts::from_routes(topology, paths.ts_routes());
+        assert_eq!(enabled, per_flow_reference(topology, flows));
+        enabled
+    }
 
     fn all_pairs_ts_flows(topology: &Topology) -> FlowSet {
         let hosts = topology.hosts();
@@ -163,8 +170,7 @@ mod tests {
     #[test]
     fn star_enables_three_ports_on_the_core() {
         let topo = presets::star(3, 3).expect("builds");
-        let enabled =
-            EnabledPorts::from_flows(&topo, &all_pairs_ts_flows(&topo)).expect("routes ok");
+        let enabled = enabled(&topo, &all_pairs_ts_flows(&topo));
         assert_eq!(enabled.max_per_switch(), 3, "paper Table III star column");
         // Child switches only ever send towards the core.
         let core = topo.switches()[0];
@@ -177,16 +183,14 @@ mod tests {
     #[test]
     fn linear_enables_two_ports_in_the_middle() {
         let topo = presets::linear(6, 2).expect("builds");
-        let enabled =
-            EnabledPorts::from_flows(&topo, &all_pairs_ts_flows(&topo)).expect("routes ok");
+        let enabled = enabled(&topo, &all_pairs_ts_flows(&topo));
         assert_eq!(enabled.max_per_switch(), 2, "paper Table III linear column");
     }
 
     #[test]
     fn ring_enables_a_single_port_per_switch() {
         let topo = presets::ring(6, 3).expect("builds");
-        let enabled =
-            EnabledPorts::from_flows(&topo, &all_pairs_ts_flows(&topo)).expect("routes ok");
+        let enabled = enabled(&topo, &all_pairs_ts_flows(&topo));
         assert_eq!(enabled.max_per_switch(), 1, "paper Table III ring column");
         // Every switch on a used path enables exactly its clockwise port.
         for (_, count) in enabled.iter() {
@@ -197,21 +201,19 @@ mod tests {
     #[test]
     fn empty_flow_set_enables_nothing() {
         let topo = presets::ring(3, 1).expect("builds");
-        let enabled = EnabledPorts::from_flows(&topo, &FlowSet::new()).expect("no routes needed");
+        let enabled = enabled(&topo, &FlowSet::new());
         assert_eq!(enabled.max_per_switch(), 0);
         assert_eq!(enabled.switch_count(), 0);
     }
 
     #[test]
-    fn from_routes_matches_from_flows() {
+    fn from_routes_matches_the_per_flow_reference() {
+        // Repeated pairs: the table routes each pair once, the reference
+        // once per flow.
         let topo = presets::star(3, 2).expect("builds");
-        let flows = all_pairs_ts_flows(&topo);
-        let routes: Vec<Route> = flows
-            .ts_flows()
-            .map(|f| topo.route(f.src(), f.dst()).expect("route"))
-            .collect();
-        let a = EnabledPorts::from_flows(&topo, &flows).expect("ok");
-        let b = EnabledPorts::from_routes(&topo, routes.iter());
-        assert_eq!(a, b);
+        let mut flows = all_pairs_ts_flows(&topo);
+        flows.extend(all_pairs_ts_flows(&topo));
+        // Only the two children with hosts receive TS traffic.
+        assert_eq!(enabled(&topo, &flows).ports_of(topo.switches()[0]), 2);
     }
 }

@@ -15,7 +15,8 @@
 //! direction, so the unidirectional ring routes the way the paper's
 //! deterministic ring does. [`PathTable`] routes each distinct
 //! (talker, listener) pair of a flow set once and shares that route with
-//! every flow of the pair. [`analysis`] computes the per-switch *enabled
+//! every flow of the pair; every consumer of a flow set's routes reads
+//! one. [`analysis`] computes the per-switch *enabled
 //! TSN port* counts that drive the resource customization of Table III.
 //!
 //! # Example

@@ -4,8 +4,9 @@
 //! A route depends only on its endpoints, so the flows of one pair all
 //! take the same path. A large plant has ~100 times more flows than
 //! pairs, so everything that reads routes per flow (resource sizing,
-//! enabled-port analysis, flow installation) reads this table instead
-//! of routing each flow again.
+//! enabled-port analysis, flow installation, and the CQF, ITP, TAS and
+//! DSE-floor planners through the requirement set that holds a table)
+//! reads this table instead of routing each flow again.
 
 use crate::graph::Topology;
 use crate::route::Route;
@@ -105,6 +106,14 @@ impl PathTable {
         &self.flow_paths
     }
 
+    /// Each flow's route, in flow-set order: zip it with the
+    /// [`FlowSet`] the table was built from.
+    pub fn flow_routes(&self) -> impl Iterator<Item = &Route> {
+        self.flow_paths
+            .iter()
+            .map(|&path| &self.routes[path as usize])
+    }
+
     /// The routes at least one TS flow takes — the input of
     /// [`crate::EnabledPorts::from_routes`].
     pub fn ts_routes(&self) -> impl Iterator<Item = &Route> {
@@ -179,16 +188,14 @@ mod tests {
             let flows = repeating_flows(&topo);
             let paths = PathTable::from_flows(&topo, &flows).expect("routes");
             assert_eq!(paths.flow_paths().len(), flows.len(), "{name}");
+            assert_eq!(paths.flow_routes().count(), flows.len(), "{name}");
             let hosts = topo.hosts().len();
             assert_eq!(paths.routes().len(), hosts * (hosts - 1), "{name}");
-            for (flow, &path) in flows.iter().zip(paths.flow_paths()) {
+            let per_flow = paths.flow_paths().iter().zip(paths.flow_routes());
+            for (flow, (&path, route)) in flows.iter().zip(per_flow) {
                 let direct = topo.route(flow.src(), flow.dst()).expect("routes");
-                assert_eq!(
-                    paths.routes()[path as usize],
-                    direct,
-                    "{name}: {}",
-                    flow.id()
-                );
+                assert_eq!(route, &direct, "{name}: {}", flow.id());
+                assert_eq!(&paths.routes()[path as usize], route, "{name}");
             }
         }
     }
@@ -217,7 +224,7 @@ mod tests {
             let paths = PathTable::from_flows(&topo, &flows).expect("routes");
             assert_eq!(
                 EnabledPorts::from_routes(&topo, paths.ts_routes()),
-                EnabledPorts::from_flows(&topo, &flows).expect("routes"),
+                crate::analysis::tests::per_flow_reference(&topo, &flows),
                 "{name}"
             );
         }

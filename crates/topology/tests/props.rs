@@ -98,10 +98,11 @@ fn routes_are_short() {
     }
 }
 
-/// Enabled TSN ports never exceed the switch's cabled port count.
+/// Enabled TSN ports never exceed the switch's cabled port count, and
+/// the pair-routed table enables the same ports as routing every flow.
 #[test]
 fn enabled_ports_bounded_by_degree() {
-    use tsn_topology::EnabledPorts;
+    use tsn_topology::{EnabledPorts, PathTable};
     use tsn_types::{FlowId, FlowSet, SimDuration, TsFlowSpec};
     let mut rng = SplitMix64::seed_from_u64(0xe4ab);
     let mut tested = 0;
@@ -128,7 +129,14 @@ fn enabled_ports_bounded_by_degree() {
                 .into(),
             );
         }
-        let enabled = EnabledPorts::from_flows(&topo, &flows).expect("analysis runs");
+        let paths = PathTable::from_flows(&topo, &flows).expect("flows route");
+        let enabled = EnabledPorts::from_routes(&topo, paths.ts_routes());
+        // The per-flow reference: one route per TS flow.
+        let per_flow: Vec<_> = flows
+            .ts_flows()
+            .map(|f| topo.route(f.src(), f.dst()).expect("flows route"))
+            .collect();
+        assert_eq!(enabled, EnabledPorts::from_routes(&topo, &per_flow));
         for (node, count) in enabled.iter() {
             assert!(count <= topo.port_count(node));
             assert!(

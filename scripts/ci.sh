@@ -15,8 +15,10 @@ run() {
     "$@"
 }
 
-run cargo build --release --workspace --all-targets
-run cargo test -q --workspace
+# `--locked` on the workspace steps: a Cargo.lock that no longer matches
+# the manifests fails here instead of being rewritten silently.
+run cargo build --locked --release --workspace --all-targets
+run cargo test -q --locked --workspace
 
 # Hermetic checkout: the workspace tests must also pass in a fresh
 # checkout of HEAD, which holds no untracked files, so a test that
@@ -36,15 +38,15 @@ end_hermetic() {
 trap end_hermetic EXIT
 run git worktree add --quiet --detach "$hermetic_tmp/checkout" HEAD
 (cd "$hermetic_tmp/checkout" \
-    && CARGO_TARGET_DIR="$hermetic_target" run cargo test -q --workspace --offline)
+    && CARGO_TARGET_DIR="$hermetic_target" run cargo test -q --locked --workspace --offline)
 end_hermetic
 trap - EXIT
 
-run cargo clippy --workspace --all-targets -- -D warnings
+run cargo clippy --locked --workspace --all-targets -- -D warnings
 run cargo fmt --check
 
 # Docs must build warning-free (broken intra-doc links, missing docs).
-RUSTDOCFLAGS="-D warnings" run cargo doc --no-deps --workspace
+RUSTDOCFLAGS="-D warnings" run cargo doc --locked --no-deps --workspace
 
 # HDL machine check: parse the committed generated_hdl*/ trees and the
 # freshly emitted preset bundles into the structural IR and run the full
